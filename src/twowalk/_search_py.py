@@ -26,9 +26,10 @@ the two-walk interpretation of the square, which is what makes this
 propagation complete: a full assignment that survives all row-completion
 checks necessarily satisfies A·A == S.
 
-The compiled twin in ``_search_c.pyx`` implements the identical
-algorithm (same decision order, same checks, same node accounting); the
-two must return identical results, node counts included.
+The search runs on an explicit stack (one value cursor and one
+"edge applied" flag per position) rather than by recursion, so its depth
+is not bounded by, and it never changes, the interpreter's recursion
+limit.
 
 A "node" is one attempted (position, value) assignment, counted before
 its feasibility checks run.
@@ -36,12 +37,11 @@ its feasibility checks run.
 
 from __future__ import annotations
 
-import sys
 import time
 
 KERNEL_NAME = "python"
 
-# status codes shared by both kernels
+# search status codes
 EXHAUSTED = 0
 HIT_NODE_BUDGET = 1
 HIT_TIME_BUDGET = 2
@@ -69,8 +69,6 @@ def run_search(
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     npairs = len(pairs)
-    if sys.getrecursionlimit() < npairs + 100:
-        sys.setrecursionlimit(npairs + 100)
     deadline = time.monotonic() + time_limit if time_limit > 0 else 0.0
 
     deg = [0] * n
@@ -86,118 +84,121 @@ def run_search(
             witnesses.append([])
         return EXHAUSTED, witnesses, 0
 
-    def place(pos: int) -> int:
-        nonlocal nodes
+    # explicit stack: the next value to try at each position, and whether
+    # the edge of that position is currently added
+    value = [0] * npairs
+    applied = [False] * npairs
+    pos = 0
+    while True:
         if pos == npairs:
             witnesses.append(sorted(
                 (i, j) for i in range(n) for j in range(i + 1, n) if adj[i] >> j & 1
             ))
             if 0 < witness_limit <= len(witnesses):
-                return HIT_WITNESS_LIMIT
-            return EXHAUSTED
+                return HIT_WITNESS_LIMIT, witnesses, nodes
+            pos -= 1
+            continue
+
         i, j = pairs[pos]
+        if applied[pos]:
+            applied[pos] = False
+            adj[i] &= ~(1 << j)
+            adj[j] &= ~(1 << i)
+            deg[i] -= 1
+            deg[j] -= 1
+            m = adj[i]
+            while m:
+                b = m & -m
+                k = b.bit_length() - 1
+                m ^= b
+                cn[j][k] -= 1
+                cn[k][j] -= 1
+            m = adj[j]
+            while m:
+                b = m & -m
+                k = b.bit_length() - 1
+                m ^= b
+                cn[i][k] -= 1
+                cn[k][i] -= 1
+
+        v = value[pos]
+        if v == 2:
+            # both values tried: backtrack
+            value[pos] = 0
+            if pos == 0:
+                return EXHAUSTED, witnesses, nodes
+            pos -= 1
+            continue
+        value[pos] = v + 1
+
+        nodes += 1
+        if 0 < max_nodes < nodes:
+            return HIT_NODE_BUDGET, witnesses, nodes
+        if deadline and nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
+            return HIT_TIME_BUDGET, witnesses, nodes
+
         si = s[i]
         sj = s[j]
-        for v in (0, 1):
-            nodes += 1
-            if 0 < max_nodes < nodes:
-                return HIT_NODE_BUDGET
-            if deadline and nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
-                return HIT_TIME_BUDGET
-
-            applied = False
-            if v == 1:
-                if deg[i] >= si[i] or deg[j] >= sj[j]:
-                    continue
-                # adding {i,j} makes i a new common neighbor of j with each
-                # current neighbor of i, and symmetrically
-                ok = True
-                m = adj[i]
-                while m:
-                    b = m & -m
-                    k = b.bit_length() - 1
-                    m ^= b
-                    if cn[j][k] >= sj[k]:
-                        ok = False
-                        break
-                if ok:
-                    m = adj[j]
-                    while m:
-                        b = m & -m
-                        k = b.bit_length() - 1
-                        m ^= b
-                        if cn[i][k] >= si[k]:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                m = adj[i]
-                while m:
-                    b = m & -m
-                    k = b.bit_length() - 1
-                    m ^= b
-                    cn[j][k] += 1
-                    cn[k][j] += 1
+        if v == 1:
+            if deg[i] >= si[i] or deg[j] >= sj[j]:
+                continue
+            # adding {i,j} makes i a new common neighbor of j with each
+            # current neighbor of i, and symmetrically
+            ok = True
+            m = adj[i]
+            while m:
+                b = m & -m
+                k = b.bit_length() - 1
+                m ^= b
+                if cn[j][k] >= sj[k]:
+                    ok = False
+                    break
+            if ok:
                 m = adj[j]
                 while m:
                     b = m & -m
                     k = b.bit_length() - 1
                     m ^= b
-                    cn[i][k] += 1
-                    cn[k][i] += 1
-                deg[i] += 1
-                deg[j] += 1
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-                applied = True
+                    if cn[i][k] >= si[k]:
+                        ok = False
+                        break
+            if not ok:
+                continue
+            m = adj[i]
+            while m:
+                b = m & -m
+                k = b.bit_length() - 1
+                m ^= b
+                cn[j][k] += 1
+                cn[k][j] += 1
+            m = adj[j]
+            while m:
+                b = m & -m
+                k = b.bit_length() - 1
+                m ^= b
+                cn[i][k] += 1
+                cn[k][i] += 1
+            deg[i] += 1
+            deg[j] += 1
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            applied[pos] = True
 
-            # remaining-capacity checks for the two rows just touched
-            ok = deg[i] + (n - 1 - j) >= si[i] and deg[j] + (n - i - 2) >= sj[j]
-            if ok and j == n - 1:
-                # row i is complete: degree and all cn[.][i] are final
-                ok = deg[i] == si[i]
-                if ok:
-                    cni = cn[i]
-                    for a in range(i):
-                        if cni[a] != si[a]:
-                            ok = False
-                            break
-                if ok:
-                    for r in range(i + 1, n):
-                        if deg[r] + (n - i - 2) < s[r][r]:
-                            ok = False
-                            break
-
+        # remaining-capacity checks for the two rows just touched
+        ok = deg[i] + (n - 1 - j) >= si[i] and deg[j] + (n - i - 2) >= sj[j]
+        if ok and j == n - 1:
+            # row i is complete: degree and all cn[.][i] are final
+            ok = deg[i] == si[i]
             if ok:
-                res = place(pos + 1)
-                if res != EXHAUSTED:
-                    if applied:
-                        _undo(i, j)
-                    return res
-
-            if applied:
-                _undo(i, j)
-        return EXHAUSTED
-
-    def _undo(i: int, j: int) -> None:
-        adj[i] &= ~(1 << j)
-        adj[j] &= ~(1 << i)
-        deg[i] -= 1
-        deg[j] -= 1
-        m = adj[i]
-        while m:
-            b = m & -m
-            k = b.bit_length() - 1
-            m ^= b
-            cn[j][k] -= 1
-            cn[k][j] -= 1
-        m = adj[j]
-        while m:
-            b = m & -m
-            k = b.bit_length() - 1
-            m ^= b
-            cn[i][k] -= 1
-            cn[k][i] -= 1
-
-    status = place(0)
-    return status, witnesses, nodes
+                cni = cn[i]
+                for a in range(i):
+                    if cni[a] != si[a]:
+                        ok = False
+                        break
+            if ok:
+                for r in range(i + 1, n):
+                    if deg[r] + (n - i - 2) < s[r][r]:
+                        ok = False
+                        break
+        if ok:
+            pos += 1

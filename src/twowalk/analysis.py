@@ -47,6 +47,13 @@ def support_components(S: IntMatrix) -> IndexPartition:
     off-blocks exactly when component_count ≥ 2.
     """
     _require_symmetric(S, "support_components")
+    label, count = _component_labels(S)
+    return IndexPartition(tuple(label), count)
+
+
+def _component_labels(S: IntMatrix) -> tuple[list[int], int]:
+    """BFS labelling behind ``support_components``, without its symmetry
+    check, for callers whose input is already known to be symmetric."""
     n = S.n
     rows = S.rows
     label = [-1] * n
@@ -64,7 +71,7 @@ def support_components(S: IntMatrix) -> IndexPartition:
                     label[u] = count
                     queue.append(u)
         count += 1
-    return IndexPartition(tuple(label), count)
+    return label, count
 
 
 def is_bipartite_or_disconnected(S: IntMatrix) -> bool:
@@ -113,16 +120,18 @@ def count_c4(S: IntMatrix) -> C4Count:
     can use non-divisibility as a rejection.
     """
     _require_symmetric(S, "count_c4")
-    n = S.n
-    rows = S.rows
+    return C4Count(_c4_pair_sum(S.rows))
+
+
+def _c4_pair_sum(rows: Sequence[Sequence[int]]) -> int:
+    """Σ_{i≠j} C(s_ij, 2) over ordered pairs: four times the four-cycle
+    count of any graph whose square is ``rows``."""
     total = 0
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
+    for i, ri in enumerate(rows):
+        for j, s in enumerate(ri):
             if i != j:
-                s = ri[j]
                 total += s * (s - 1) // 2
-    return C4Count(total)
+    return total
 
 
 def _size_and_sum_reachable(values: Sequence[int], k: int, target: int) -> bool:
@@ -419,12 +428,7 @@ def necessary_conditions(S) -> ConditionReport:
         else CheckResult(False, f"trace {tr} is odd, but it must equal twice the edge count")
     )
 
-    pair_sum = 0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                s = rows[i][j]
-                pair_sum += s * (s - 1) // 2
+    pair_sum = _c4_pair_sum(rows)
     c4_ok = (
         CheckResult(True, f"Σ C(s_ij,2) = {pair_sum} is divisible by 4 ({pair_sum // 4} four-cycles)")
         if pair_sum % 4 == 0

@@ -152,15 +152,10 @@ def parse_edgelist(text: str) -> Graph:
 def _matrix_from_lists(data: object, *, source: str) -> IntMatrix:
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise FormatError(f"{source}: expected an array of arrays")
-    for i, row in enumerate(data):
-        if len(row) != len(data):
-            raise FormatError(f"{source}: row {i} has length {len(row)}, expected {len(data)}")
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise FormatError(f"{source}: entry ({i},{j}) is not an integer: {x!r}")
-            if x < 0:
-                raise FormatError(f"{source}: entry ({i},{j}) is negative: {x}")
-    return IntMatrix.from_rows(data)
+    try:
+        return IntMatrix(tuple(tuple(row) for row in data))
+    except ValueError as exc:
+        raise FormatError(f"{source}: {exc}") from None
 
 
 def to_matrix_json(M: IntMatrix) -> str:

@@ -14,9 +14,9 @@ heuristic can produce a wrong answer, only a budget abort (raised as
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 
+from .analysis import _component_labels
 from .core import IntMatrix, Permutation
 
 
@@ -33,27 +33,11 @@ class IsoBudget:
 def _support_component_sizes(M: IntMatrix) -> list[int]:
     """Size of each index's component in the support graph (off-diagonal
     nonzero pattern); a sound invariant for both iso and similarity."""
-    n = M.n
-    rows = M.rows
-    comp = [-1] * n
-    sizes: list[int] = []
-    for start in range(n):
-        if comp[start] != -1:
-            continue
-        label = len(sizes)
-        comp[start] = label
-        members = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            rv = rows[v]
-            for u in range(n):
-                if u != v and rv[u] != 0 and comp[u] == -1:
-                    comp[u] = label
-                    members.append(u)
-                    queue.append(u)
-        sizes.append(len(members))
-    return [sizes[comp[v]] for v in range(n)]
+    label, count = _component_labels(M)
+    sizes = [0] * count
+    for c in label:
+        sizes[c] += 1
+    return [sizes[c] for c in label]
 
 
 def _initial_keys(M: IntMatrix) -> list[tuple]:
@@ -197,7 +181,7 @@ def find_matrix_mapping(
     if not extend(0):
         return None
     p = Permutation(tuple(mapping))
-    assert all(
-        rows_a[i][j] == rows_b[p(i)][p(j)] for i in range(n) for j in range(n)
-    ), "mapping search returned a non-witness; engine bug"
+    # not an assert: the guarantee must hold under python -O too
+    if any(rows_a[i][j] != rows_b[p(i)][p(j)] for i in range(n) for j in range(n)):
+        raise AssertionError("mapping search returned a non-witness; engine bug")
     return p

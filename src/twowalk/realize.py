@@ -4,15 +4,11 @@ A candidate first goes through the necessary-condition battery; survivors
 are handed to an exhaustive backtracking search over the C(n,2) potential
 edges that either produces a witness graph (whose square is re-verified
 entrywise before returning) or proves by exhaustion that none exists.
-
-Two interchangeable kernels implement the search: a compiled Cython
-extension and a pure-Python twin.  The compiled one is preferred at
-import time; set ``TWOWALK_PURE_PYTHON=1`` to force the fallback.
+The search itself is the pure-Python kernel in ``_search_py``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -22,21 +18,10 @@ from . import _search_py
 from .analysis import necessary_conditions
 from .core import Graph, IntMatrix, adjacency_matrix, graph_from_edges, square
 
-if os.environ.get("TWOWALK_PURE_PYTHON") == "1":
-    _kernel = _search_py
-else:
-    try:
-        from . import _search_c as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        _kernel = _search_py
-
-# the compiled kernel packs neighbor sets into machine words
-_COMPILED_MAX_N = 64
-
 
 def search_backend() -> str:
-    """Name of the kernel selected at import: 'compiled' or 'python'."""
-    return _kernel.KERNEL_NAME
+    """Name of the search kernel: always 'python'."""
+    return _search_py.KERNEL_NAME
 
 
 @dataclass(frozen=True)
@@ -121,13 +106,28 @@ def verify(G: Graph, S: IntMatrix) -> bool:
     return square(adjacency_matrix(G)) == S
 
 
-def _run_kernel(S: IntMatrix, budget: SearchBudget, witness_limit: int):
-    kern = _kernel
-    if kern.KERNEL_NAME == "compiled" and S.n > _COMPILED_MAX_N:
-        kern = _search_py
-    rows = S.to_lists()
+def _search(S: IntMatrix, budget: SearchBudget, witness_limit: int):
+    """The pipeline behind ``realize`` and ``realize_all``: battery, then
+    kernel, then entrywise re-verification of every witness.
+
+    Returns (failed check names or None, kernel status, witnesses, nodes,
+    elapsed seconds); a battery rejection explores no nodes.
+    """
+    start = time.perf_counter()
+    report = necessary_conditions(S)
+    if not report.overall:
+        return report.failed_names(), _search_py.EXHAUSTED, (), 0, time.perf_counter() - start
     time_limit = budget.max_seconds if budget.max_seconds is not None else 0.0
-    return kern.run_search(S.n, rows, budget.max_nodes, time_limit, witness_limit)
+    status, raw, nodes = _search_py.run_search(
+        S.n, S.to_lists(), budget.max_nodes, time_limit, witness_limit
+    )
+    elapsed = time.perf_counter() - start
+    witnesses = tuple(graph_from_edges(S.n, edges) for edges in raw)
+    for w in witnesses:
+        # not an assert: the guarantee must hold under python -O too
+        if not verify(w, S):
+            raise AssertionError("search returned a non-witness; kernel bug")
+    return None, status, witnesses, nodes, elapsed
 
 
 def realize(S: IntMatrix, budget: SearchBudget | None = None) -> RealizationOutcome:
@@ -137,21 +137,14 @@ def realize(S: IntMatrix, budget: SearchBudget | None = None) -> RealizationOutc
     by row) and value order (edge absent before present).  A Realized
     outcome always carries a witness that has been re-verified against S.
     """
-    budget = budget or SearchBudget()
-    start = time.perf_counter()
-    report = necessary_conditions(S)
-    if not report.overall:
-        failed = ", ".join(report.failed_names())
+    failed, status, witnesses, nodes, elapsed = _search(S, budget or SearchBudget(), 1)
+    if failed is not None:
         return RealizationOutcome(
-            RealizationVerdict.INFEASIBLE, None, 0, time.perf_counter() - start,
-            f"failed necessary conditions: {failed}",
+            RealizationVerdict.INFEASIBLE, None, 0, elapsed,
+            f"failed necessary conditions: {', '.join(failed)}",
         )
-    status, raw, nodes = _run_kernel(S, budget, witness_limit=1)
-    elapsed = time.perf_counter() - start
-    if raw:
-        witness = graph_from_edges(S.n, raw[0])
-        assert verify(witness, S), "search returned a non-witness; kernel bug"
-        return RealizationOutcome(RealizationVerdict.REALIZED, witness, nodes, elapsed, None)
+    if witnesses:
+        return RealizationOutcome(RealizationVerdict.REALIZED, witnesses[0], nodes, elapsed, None)
     if status == _search_py.EXHAUSTED:
         return RealizationOutcome(
             RealizationVerdict.INFEASIBLE, None, nodes, elapsed, "search exhausted"
@@ -174,19 +167,8 @@ def realize_all(
     Witnesses are labeled graphs; callers wanting representatives up to
     isomorphism can post-filter with ``construct.are_isomorphic``.
     """
-    budget = budget or SearchBudget()
     if limit is not None and limit <= 0:
         raise ValueError("limit must be positive or None")
-    start = time.perf_counter()
-    report = necessary_conditions(S)
-    if not report.overall:
-        return Enumeration((), True, 0, time.perf_counter() - start)
-    status, raw, nodes = _run_kernel(S, budget, witness_limit=limit or 0)
-    elapsed = time.perf_counter() - start
-    witnesses = []
-    for edges in raw:
-        w = graph_from_edges(S.n, edges)
-        assert verify(w, S), "search returned a non-witness; kernel bug"
-        witnesses.append(w)
+    _, status, witnesses, nodes, elapsed = _search(S, budget or SearchBudget(), limit or 0)
     complete = status in (_search_py.EXHAUSTED, _search_py.HIT_WITNESS_LIMIT)
-    return Enumeration(tuple(witnesses), complete, nodes, elapsed)
+    return Enumeration(witnesses, complete, nodes, elapsed)
