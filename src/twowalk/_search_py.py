@@ -9,17 +9,19 @@ Decision variables are the C(n,2) potential edges, ordered row by row:
 (0,1),(0,2),…,(0,n-1),(1,2),…  Values are tried absent-first (0 then 1),
 which makes the enumeration order and every outcome deterministic.
 
-Incremental state per partial assignment: vertex degrees ``deg`` and
-pairwise common-neighbor counts ``cn``.  Both only grow when edges are
-added, so exceeding the target (deg[i] > s_ii, cn[i][j] > s_ij) prunes
-soundly.  Additional pruning:
+The only search state is one neighbor bitmask per vertex, ``adj``.  It
+counts two-walks directly: the degree of i is ``adj[i].bit_count()`` and
+the number of common neighbors of i and j is
+``(adj[i] & adj[j]).bit_count()``.  Both counts only grow when edges are
+added, so exceeding the target (degree of i > s_ii, common neighbors of
+i and j > s_ij) prunes soundly.  Additional pruning:
 
 * after deciding pair (i,j): row i can still reach at most
-  deg[i] + (n-1-j) neighbors and row j at most deg[j] + (n-i-2); either
+  deg(i) + (n-1-j) neighbors and row j at most deg(j) + (n-i-2); either
   falling short of the required diagonal prunes;
-* when row i completes (j = n-1): deg[i] must equal s_ii exactly, every
-  now-final common-neighbor count cn[a][i] (a < i) must equal s_ai, and
-  every later row r must still be able to reach s_rr.
+* when row i completes (j = n-1): deg(i) must equal s_ii exactly, every
+  now-final common-neighbor count of a and i (a < i) must equal s_ai,
+  and every later row r must still be able to reach s_rr.
 
 Degrees-from-diagonal and common-neighbors-from-off-diagonal are exactly
 the two-walk interpretation of the square, which is what makes this
@@ -71,9 +73,7 @@ def run_search(
     npairs = len(pairs)
     deadline = time.monotonic() + time_limit if time_limit > 0 else 0.0
 
-    deg = [0] * n
     adj = [0] * n  # neighbor bitmasks
-    cn = [[0] * n for _ in range(n)]
     witnesses: list[list[tuple[int, int]]] = []
     nodes = 0
 
@@ -100,26 +100,11 @@ def run_search(
             continue
 
         i, j = pairs[pos]
+        # the flag is kept: clearing the bits on every visit measured slower
         if applied[pos]:
             applied[pos] = False
             adj[i] &= ~(1 << j)
             adj[j] &= ~(1 << i)
-            deg[i] -= 1
-            deg[j] -= 1
-            m = adj[i]
-            while m:
-                b = m & -m
-                k = b.bit_length() - 1
-                m ^= b
-                cn[j][k] -= 1
-                cn[k][j] -= 1
-            m = adj[j]
-            while m:
-                b = m & -m
-                k = b.bit_length() - 1
-                m ^= b
-                cn[i][k] -= 1
-                cn[k][i] -= 1
 
         v = value[pos]
         if v == 2:
@@ -139,65 +124,54 @@ def run_search(
 
         si = s[i]
         sj = s[j]
+        ai = adj[i]
+        aj = adj[j]
         if v == 1:
-            if deg[i] >= si[i] or deg[j] >= sj[j]:
+            if ai.bit_count() >= si[i] or aj.bit_count() >= sj[j]:
                 continue
             # adding {i,j} makes i a new common neighbor of j with each
             # current neighbor of i, and symmetrically
             ok = True
-            m = adj[i]
+            m = ai
             while m:
                 b = m & -m
                 k = b.bit_length() - 1
                 m ^= b
-                if cn[j][k] >= sj[k]:
+                if (aj & adj[k]).bit_count() >= sj[k]:
                     ok = False
                     break
             if ok:
-                m = adj[j]
+                m = aj
                 while m:
                     b = m & -m
                     k = b.bit_length() - 1
                     m ^= b
-                    if cn[i][k] >= si[k]:
+                    if (ai & adj[k]).bit_count() >= si[k]:
                         ok = False
                         break
             if not ok:
                 continue
-            m = adj[i]
-            while m:
-                b = m & -m
-                k = b.bit_length() - 1
-                m ^= b
-                cn[j][k] += 1
-                cn[k][j] += 1
-            m = adj[j]
-            while m:
-                b = m & -m
-                k = b.bit_length() - 1
-                m ^= b
-                cn[i][k] += 1
-                cn[k][i] += 1
-            deg[i] += 1
-            deg[j] += 1
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+            ai |= 1 << j
+            aj |= 1 << i
+            adj[i] = ai
+            adj[j] = aj
             applied[pos] = True
 
         # remaining-capacity checks for the two rows just touched
-        ok = deg[i] + (n - 1 - j) >= si[i] and deg[j] + (n - i - 2) >= sj[j]
+        di = ai.bit_count()
+        ok = di + (n - 1 - j) >= si[i] and aj.bit_count() + (n - i - 2) >= sj[j]
         if ok and j == n - 1:
-            # row i is complete: degree and all cn[.][i] are final
-            ok = deg[i] == si[i]
+            # row i is complete: its degree and common-neighbor counts
+            # with every earlier row are final
+            ok = di == si[i]
             if ok:
-                cni = cn[i]
                 for a in range(i):
-                    if cni[a] != si[a]:
+                    if (ai & adj[a]).bit_count() != si[a]:
                         ok = False
                         break
             if ok:
                 for r in range(i + 1, n):
-                    if deg[r] + (n - i - 2) < s[r][r]:
+                    if adj[r].bit_count() + (n - i - 2) < s[r][r]:
                         ok = False
                         break
         if ok:

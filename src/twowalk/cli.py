@@ -74,18 +74,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _budget(args) -> SearchBudget:
-    return SearchBudget(
-        max_nodes=args.max_nodes if args.max_nodes else 100_000_000,
-        max_seconds=args.max_seconds if args.max_seconds else 60.0,
-    )
-
-
-def _iso_budget(args) -> IsoBudget:
-    return IsoBudget(
-        max_nodes=args.max_nodes if args.max_nodes else 10_000_000,
-        max_seconds=args.max_seconds,
-    )
+def _budget(cls, args):
+    """A ``cls`` budget from the options the user set; an option left out
+    or given as 0 keeps the dataclass default."""
+    given = {"max_nodes": args.max_nodes, "max_seconds": args.max_seconds}
+    return cls(**{name: value for name, value in given.items() if value})
 
 
 def cmd_square(args) -> int:
@@ -152,7 +145,7 @@ def cmd_count_c4(args) -> int:
 
 def cmd_realize(args) -> int:
     M = _load_matrix(args.input, args.format)
-    budget = _budget(args)
+    budget = _budget(SearchBudget, args)
     if args.all or args.limit:
         enum = realize_all(M, limit=args.limit, budget=budget)
         if args.json:
@@ -185,7 +178,7 @@ def cmd_realize(args) -> int:
 def cmd_family(args) -> int:
     G = _load_graph(args.input, args.format)
     try:
-        family = duplication_family(G, args.k, budget=_iso_budget(args))
+        family = duplication_family(G, args.k, budget=_budget(IsoBudget, args))
     except ValueError as exc:
         if "bipartite" in str(exc):
             sys.stderr.write(f"error: {exc}\n")
@@ -231,7 +224,7 @@ def cmd_union(args) -> int:
 def cmd_iso(args) -> int:
     G = _load_graph(args.input, args.format)
     H = _load_graph(args.input2, args.format)
-    p = are_isomorphic(G, H, budget=_iso_budget(args))
+    p = are_isomorphic(G, H, budget=_budget(IsoBudget, args))
     if args.json:
         doc = {
             "isomorphic": p is not None,
@@ -253,7 +246,7 @@ def cmd_similar(args) -> int:
         raise FormatError(f"matrix sizes differ: {S1.n} vs {S2.n}")
     if not S1.is_symmetric() or not S2.is_symmetric():
         raise FormatError("similarity testing requires symmetric matrices")
-    p = permutation_similar(S1, S2, budget=_iso_budget(args))
+    p = permutation_similar(S1, S2, budget=_budget(IsoBudget, args))
     if args.json:
         doc = {
             "similar": p is not None,

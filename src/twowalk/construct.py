@@ -19,6 +19,7 @@ from .core import (
     square,
 )
 from .iso import BudgetExhausted, IsoBudget, find_matrix_mapping
+from .realize import verify
 
 __all__ = [
     "disjoint_union",
@@ -148,7 +149,7 @@ class DuplicationFamily:
 
     def __post_init__(self):
         for idx, m in enumerate(self.members):
-            if square(adjacency_matrix(m)) != self.shared_square:
+            if m.n != self.shared_square.n or not verify(m, self.shared_square):
                 raise ValueError(f"member {idx} does not square to the shared matrix")
 
     def to_json_dict(self) -> dict:

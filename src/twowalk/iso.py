@@ -148,13 +148,22 @@ def find_matrix_mapping(
     nodes = 0
     deadline = time.monotonic() + budget.max_seconds if budget.max_seconds else 0.0
 
-    def extend(depth: int) -> bool:
-        nonlocal nodes
-        if depth == n:
-            return True
+    # explicit stack, one candidate cursor per depth, so the depth is not
+    # bounded by the interpreter's recursion limit
+    cursor = [0] * n
+    depth = 0
+    while depth < n:
         u = order[depth]
+        if mapping[u] != -1:
+            # coming back to this depth: undo its last choice
+            used[mapping[u]] = False
+            mapping[u] = -1
         ra = rows_a[u]
-        for x in by_color.get(col_a[u], ()):
+        cands = by_color.get(col_a[u], ())
+        c = cursor[depth]
+        while c < len(cands):
+            x = cands[c]
+            c += 1
             if used[x]:
                 continue
             nodes += 1
@@ -163,23 +172,23 @@ def find_matrix_mapping(
             if deadline and nodes & 0x3FF == 0 and time.monotonic() > deadline:
                 raise BudgetExhausted(f"mapping search exceeded {budget.max_seconds}s")
             rb = rows_b[x]
-            ok = True
-            for d in range(depth):
-                v = order[d]
+            for v in order[:depth]:
                 if ra[v] != rb[mapping[v]]:
-                    ok = False
                     break
-            if ok:
+            else:
+                # consistent with every vertex mapped so far: take it
                 mapping[u] = x
                 used[x] = True
-                if extend(depth + 1):
-                    return True
-                used[x] = False
-                mapping[u] = -1
-        return False
+                break
+        if mapping[u] != -1:
+            cursor[depth] = c
+            depth += 1
+        else:
+            cursor[depth] = 0
+            if depth == 0:
+                return None
+            depth -= 1
 
-    if not extend(0):
-        return None
     p = Permutation(tuple(mapping))
     # not an assert: the guarantee must hold under python -O too
     if any(rows_a[i][j] != rows_b[p(i)][p(j)] for i in range(n) for j in range(n)):

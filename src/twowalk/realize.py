@@ -16,7 +16,7 @@ from typing import Iterator
 
 from . import _search_py
 from .analysis import necessary_conditions
-from .core import Graph, IntMatrix, adjacency_matrix, graph_from_edges, square
+from .core import Graph, IntMatrix, graph_from_edges
 
 
 def search_backend() -> str:
@@ -100,10 +100,21 @@ class Enumeration:
 
 
 def verify(G: Graph, S: IntMatrix) -> bool:
-    """True iff the square of G's adjacency matrix equals S entrywise."""
+    """True iff the square of G's adjacency matrix equals S entrywise.
+
+    Entry (i, j) of the square counts the common neighbors of i and j (the
+    degree of i when i == j): one popcount of the two neighbor bitmasks."""
     if G.n != S.n:
         raise ValueError(f"graph has {G.n} vertices but matrix is {S.n}x{S.n}")
-    return square(adjacency_matrix(G)) == S
+    adj = [0] * G.n
+    for i, j in G.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return all(
+        (ai & aj).bit_count() == sij
+        for ai, row in zip(adj, S.rows)
+        for aj, sij in zip(adj, row)
+    )
 
 
 def _search(S: IntMatrix, budget: SearchBudget, witness_limit: int):

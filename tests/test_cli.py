@@ -5,8 +5,17 @@ import sys
 
 import pytest
 
-from twowalk import adjacency_matrix, square, to_edgelist, to_graph6, to_matrix_json, to_matrix_text
-from twowalk.cli import main
+from twowalk import (
+    IsoBudget,
+    SearchBudget,
+    adjacency_matrix,
+    square,
+    to_edgelist,
+    to_graph6,
+    to_matrix_json,
+    to_matrix_text,
+)
+from twowalk.cli import _budget, build_parser, main
 from conftest import all_graphs, cycle, random_graph
 
 INFEASIBLE_4X4_JSON = "[[2,1,1,0],[1,2,1,1],[1,1,1,0],[0,1,0,1]]"
@@ -235,6 +244,20 @@ class TestGraphCommands:
         code, _, err = run(["similar", str(sa), str(sb)], capsys=capsys)
         assert code == 2
         assert "differ" in err
+
+
+class TestBudgetOptions:
+    def test_defaults_come_from_the_budget_types(self):
+        parser = build_parser()
+        assert _budget(SearchBudget, parser.parse_args(["realize", "x"])) == SearchBudget()
+        assert _budget(IsoBudget, parser.parse_args(["iso", "a", "b"])) == IsoBudget()
+
+    def test_zero_means_default_and_set_values_pass_through(self):
+        parser = build_parser()
+        args = parser.parse_args(["realize", "x", "--max-nodes", "0", "--max-seconds", "2.5"])
+        assert _budget(SearchBudget, args) == SearchBudget(max_seconds=2.5)
+        args = parser.parse_args(["iso", "a", "b", "--max-nodes", "7"])
+        assert _budget(IsoBudget, args) == IsoBudget(max_nodes=7)
 
 
 class TestPipelines:

@@ -1,10 +1,12 @@
 import itertools
+import sys
 
 import networkx as nx
 import pytest
 
 from twowalk import (
     BudgetExhausted,
+    DuplicationFamily,
     IntMatrix,
     IsoBudget,
     Permutation,
@@ -209,6 +211,13 @@ class TestPermutationSimilar:
         with pytest.raises(ValueError, match="symmetric"):
             permutation_similar(IntMatrix.from_rows([[0, 1], [0, 0]]), IntMatrix.zeros(2))
 
+    def test_deeper_than_recursion_limit(self):
+        # 1100 vertices: one search depth per vertex, past the default limit
+        before = sys.getrecursionlimit()
+        w = permutation_similar(IntMatrix.zeros(1100), IntMatrix.zeros(1100))
+        assert w == Permutation.identity(1100)
+        assert sys.getrecursionlimit() == before
+
     def test_agrees_with_networkx_weighted_matcher(self, rng):
         def as_weighted_nx(S):
             W = nx.Graph()
@@ -274,6 +283,16 @@ class TestDuplicationFamily:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             duplication_family(cycle(3), 0)
+
+    def test_member_must_square_to_shared_matrix(self):
+        fam = duplication_family(cycle(3), 1)
+        wrong = (fam.members[0], disjoint_union(cycle(5), empty(1)))
+        short = (fam.members[0], cycle(3))
+        for members in (wrong, short):
+            with pytest.raises(ValueError, match="member 1 does not square"):
+                DuplicationFamily(
+                    fam.base, fam.k, fam.shared_square, members, fam.member_descriptions
+                )
 
 
 class TestBundledPair:

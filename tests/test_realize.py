@@ -14,6 +14,7 @@ from twowalk import (
     apply_similarity,
     are_isomorphic,
     disjoint_union,
+    graph_from_edges,
     necessary_conditions,
     realize,
     realize_all,
@@ -53,6 +54,23 @@ class TestVerify:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             verify(cycle(3), IntMatrix.zeros(4))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_dense_square_exhaustive(self, n):
+        """Agrees with the dense square on every graph's own square and on
+        each single-entry change: +1 on a diagonal entry, +1 on a
+        symmetric off-diagonal pair."""
+        for G in all_graphs(n):
+            S = sq(G)
+            candidates = [S]
+            for i in range(n):
+                for j in range(i, n):
+                    rows = S.to_lists()
+                    rows[i][j] += 1
+                    rows[j][i] = rows[i][j]
+                    candidates.append(IntMatrix.from_rows(rows))
+            for T in candidates:
+                assert verify(G, T) == (sq(G) == T)
 
 
 class TestRealize:
@@ -181,6 +199,28 @@ class TestRealizeAll:
     def test_budget_abort_flagged_incomplete(self):
         enum = realize_all(sq(cycle(6)), budget=SearchBudget(max_nodes=3, max_seconds=None))
         assert not enum.complete
+
+
+PETERSEN = graph_from_edges(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)],
+)
+
+
+@pytest.mark.parametrize(
+    "G, first_nodes, all_nodes, all_witnesses",
+    [(cycle(6), 35, 188, 7), (PETERSEN, 820, 10732, 11)],
+    ids=["C6", "Petersen"],
+)
+def test_node_counts_pinned(G, first_nodes, all_nodes, all_witnesses):
+    """The search order and node accounting are a contract: these counts
+    depend on the exact labelling and must not drift."""
+    assert realize(sq(G)).nodes_explored == first_nodes
+    enum = realize_all(sq(G))
+    assert enum.complete
+    assert (enum.nodes_explored, len(enum)) == (all_nodes, all_witnesses)
 
 
 class TestGuarantees:
