@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import IntMatrix
+from .core import IntMatrix, _asymmetric_pair, _matrix_problem, _negative_entry
 
 
 def _require_symmetric(S: IntMatrix, what: str) -> None:
@@ -109,6 +109,13 @@ class C4Count:
 
     def __int__(self) -> int:
         return self.cycles
+
+    def to_json_dict(self) -> dict:
+        return {
+            "pair_sum": self.pair_sum,
+            "divisible_by_four": self.divisible_by_four,
+            "count": str(self.count),
+        }
 
 
 def count_c4(S: IntMatrix) -> C4Count:
@@ -325,73 +332,52 @@ class ConditionReport:
         return "\n".join(lines)
 
 
-def _coerce_matrix(S) -> tuple[int, tuple[tuple[int, ...], ...] | None, str | None]:
-    """Accept an IntMatrix or raw nested sequences; return (n, rows, problem)."""
+def _coerce_matrix(S) -> tuple[tuple[tuple[int, ...], ...] | None, str | None]:
+    """Accept an IntMatrix or raw nested sequences; return (rows, problem),
+    where rows are usable only when problem is None."""
     if isinstance(S, IntMatrix):
-        return S.n, S.rows, None
+        return S.rows, None
     try:
         rows = tuple(tuple(x for x in row) for row in S)
     except TypeError:
-        return 0, None, f"input is not a matrix: {type(S).__name__}"
-    n = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            return n, None, f"row {i + 1} has length {len(row)}, expected {n}"
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                return n, None, f"entry at row {i + 1}, column {j + 1} is not an integer"
-    return n, rows, None
+        return None, f"input is not a matrix: {type(S).__name__}"
+    return rows, _matrix_problem(rows)
 
 
 def necessary_conditions(S) -> ConditionReport:
     """Run the full rejection battery on S (an IntMatrix or raw nested
     integer sequences).  Never raises: malformed input shows up as
     failed checks."""
-    n, rows, problem = _coerce_matrix(S)
-    if rows is None:
-        bad = CheckResult(False, f"not evaluated: {problem}")
-        return ConditionReport(
-            symmetric=CheckResult(False, problem or "malformed input"),
-            nonneg_integer=bad,
-            zero_free_diagonal_ok=bad,
-            common_neighbor_bound=bad,
-            trace_even=bad,
-            c4_divisible_by_4=bad,
-            rowsum_multiset_feasible=bad,
-        )
-
-    asym = next(
-        ((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] != rows[j][i]),
-        None,
-    )
-    if asym is None:
-        symmetric = CheckResult(True, "matrix is symmetric")
+    rows, problem = _coerce_matrix(S)
+    if problem:
+        checks = {"symmetric": CheckResult(False, problem)}
     else:
-        i, j = asym
-        symmetric = CheckResult(
-            False, f"s_{i + 1},{j + 1}={rows[i][j]} differs from s_{j + 1},{i + 1}={rows[j][i]}"
-        )
+        asym = _asymmetric_pair(rows)
+        if asym is None:
+            symmetric = CheckResult(True, "matrix is symmetric")
+        else:
+            i, j = asym
+            symmetric = CheckResult(
+                False, f"s_{i + 1},{j + 1}={rows[i][j]} differs from s_{j + 1},{i + 1}={rows[j][i]}"
+            )
+        neg = _negative_entry(rows)
+        if neg is None:
+            nonneg = CheckResult(True, "all entries are nonnegative integers")
+        else:
+            i, j = neg
+            nonneg = CheckResult(False, f"s_{i + 1},{j + 1}={rows[i][j]} is negative")
+        checks = {"symmetric": symmetric, "nonneg_integer": nonneg}
+        if symmetric.passed and nonneg.passed:
+            checks.update(_square_checks(rows))
+        else:
+            problem = "requires a symmetric nonnegative matrix"
+    skipped = CheckResult(False, f"not evaluated: {problem}")
+    return ConditionReport(**{name: checks.get(name, skipped) for name in _CHECK_NAMES})
 
-    neg = next(((i, j) for i in range(n) for j in range(n) if rows[i][j] < 0), None)
-    if neg is None:
-        nonneg = CheckResult(True, "all entries are nonnegative integers")
-    else:
-        i, j = neg
-        nonneg = CheckResult(False, f"s_{i + 1},{j + 1}={rows[i][j]} is negative")
 
-    structural_ok = symmetric.passed and nonneg.passed
-    skipped = CheckResult(False, "not evaluated: requires a symmetric nonnegative matrix")
-    if not structural_ok:
-        return ConditionReport(
-            symmetric=symmetric,
-            nonneg_integer=nonneg,
-            zero_free_diagonal_ok=skipped,
-            common_neighbor_bound=skipped,
-            trace_even=skipped,
-            c4_divisible_by_4=skipped,
-            rowsum_multiset_feasible=skipped,
-        )
-
+def _square_checks(rows: tuple[tuple[int, ...], ...]) -> dict[str, CheckResult]:
+    """The checks that need a symmetric nonnegative matrix."""
+    n = len(rows)
     diag = [rows[i][i] for i in range(n)]
 
     big = next((i for i in range(n) if diag[i] > n - 1), None)
@@ -449,12 +435,10 @@ def necessary_conditions(S) -> ConditionReport:
             f"entries with the diagonal's size sums to the row sum",
         )
 
-    return ConditionReport(
-        symmetric=symmetric,
-        nonneg_integer=nonneg,
-        zero_free_diagonal_ok=diag_ok,
-        common_neighbor_bound=cn_bound,
-        trace_even=trace_even,
-        c4_divisible_by_4=c4_ok,
-        rowsum_multiset_feasible=multiset,
-    )
+    return {
+        "zero_free_diagonal_ok": diag_ok,
+        "common_neighbor_bound": cn_bound,
+        "trace_even": trace_even,
+        "c4_divisible_by_4": c4_ok,
+        "rowsum_multiset_feasible": multiset,
+    }

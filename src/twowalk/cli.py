@@ -107,11 +107,7 @@ def cmd_analyze(args) -> int:
                 "count": parts.component_count,
                 "component_of": list(parts.component_of),
             },
-            "c4": {
-                "pair_sum": c4.pair_sum,
-                "divisible_by_four": c4.divisible_by_four,
-                "count": str(c4.count),
-            },
+            "c4": c4.to_json_dict(),
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
@@ -129,12 +125,7 @@ def cmd_count_c4(args) -> int:
     M = _load_matrix(args.input, args.format)
     c4 = count_c4(M)
     if args.json:
-        doc = {
-            "pair_sum": c4.pair_sum,
-            "divisible_by_four": c4.divisible_by_four,
-            "count": str(c4.count),
-        }
-        _emit(json.dumps(doc) + "\n", args.out)
+        _emit(json.dumps(c4.to_json_dict()) + "\n", args.out)
     elif c4.divisible_by_four:
         _emit(f"{c4.cycles}\n", args.out)
     else:
@@ -242,10 +233,6 @@ def cmd_iso(args) -> int:
 def cmd_similar(args) -> int:
     S1 = _load_matrix(args.input, args.format)
     S2 = _load_matrix(args.input2, args.format)
-    if S1.n != S2.n:
-        raise FormatError(f"matrix sizes differ: {S1.n} vs {S2.n}")
-    if not S1.is_symmetric() or not S2.is_symmetric():
-        raise FormatError("similarity testing requires symmetric matrices")
     p = permutation_similar(S1, S2, budget=_budget(IsoBudget, args))
     if args.json:
         doc = {

@@ -69,15 +69,38 @@ class Graph:
 
 
 def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from (possibly unnormalized, duplicated) vertex pairs."""
-    edges = set()
-    for i, j in pairs:
-        if i == j:
-            raise ValueError(f"self-loop at vertex {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-        edges.add((i, j) if i < j else (j, i))
-    return Graph(n, frozenset(edges))
+    """Build a Graph from (possibly unnormalized, duplicated) vertex pairs;
+    ``Graph`` rejects self-loops and out-of-range endpoints."""
+    return Graph(n, frozenset((i, j) if i < j else (j, i) for i, j in pairs))
+
+
+def _matrix_problem(rows: Sequence[Sequence[object]]) -> str | None:
+    """The first reason ``rows`` is not a square matrix of ints (bool
+    excluded), with 1-indexed positions, or None."""
+    n = len(rows)
+    for i, row in enumerate(rows, 1):
+        if len(row) != n:
+            return f"row {i} has length {len(row)}, expected {n}"
+        for j, x in enumerate(row, 1):
+            # the exact-type test first: it alone settles plain ints, the common case
+            if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
+                return f"entry at row {i}, column {j} is not an integer"
+    return None
+
+
+def _negative_entry(rows: Sequence[Sequence[int]]) -> tuple[int, int] | None:
+    """The first (i, j) with a negative entry, or None; ``rows`` is a
+    square matrix of ints."""
+    if not rows or min(map(min, rows)) >= 0:
+        return None
+    return next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x < 0)
+
+
+def _asymmetric_pair(rows: Sequence[Sequence[int]]) -> tuple[int, int] | None:
+    """The first (i, j) with i < j and rows[i][j] != rows[j][i], or None."""
+    n = len(rows)
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] != rows[j][i])
+    return next(pairs, None)
 
 
 @dataclass(frozen=True)
@@ -89,15 +112,13 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.rows)
-        for i, row in enumerate(self.rows):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            for j, x in enumerate(row):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError(f"entry ({i},{j}) is not an integer: {x!r}")
-                if x < 0:
-                    raise ValueError(f"entry ({i},{j}) is negative: {x}")
+        problem = _matrix_problem(self.rows)
+        if problem:
+            raise ValueError(problem)
+        neg = _negative_entry(self.rows)
+        if neg:
+            i, j = neg
+            raise ValueError(f"entry at row {i + 1}, column {j + 1} is negative: {self.rows[i][j]}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -124,19 +145,15 @@ class IntMatrix:
         return tuple(sum(row) for row in self.rows)
 
     def is_symmetric(self) -> bool:
-        r = self.rows
-        return all(r[i][j] == r[j][i] for i in range(self.n) for j in range(i + 1, self.n))
+        return _asymmetric_pair(self.rows) is None
 
     def is_adjacency(self) -> bool:
         """Symmetric 0/1 with zero diagonal."""
         r = self.rows
-        n = self.n
-        if any(r[i][i] != 0 for i in range(n)):
-            return False
-        return all(
-            r[i][j] in (0, 1) and r[i][j] == r[j][i]
-            for i in range(n)
-            for j in range(i + 1, n)
+        return (
+            all(r[i][i] == 0 for i in range(self.n))
+            and all(x in (0, 1) for row in r for x in row)
+            and self.is_symmetric()
         )
 
     def to_lists(self) -> list[list[int]]:

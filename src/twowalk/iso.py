@@ -14,10 +14,12 @@ heuristic can produce a wrong answer, only a budget abort (raised as
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .analysis import _component_labels
 from .core import IntMatrix, Permutation
+from .realize import SearchBudget
 
 
 class BudgetExhausted(RuntimeError):
@@ -25,7 +27,9 @@ class BudgetExhausted(RuntimeError):
 
 
 @dataclass(frozen=True)
-class IsoBudget:
+class IsoBudget(SearchBudget):
+    """Limits for the mapping search, validated like ``SearchBudget``."""
+
     max_nodes: int = 10_000_000
     max_seconds: float | None = None
 
@@ -60,14 +64,8 @@ def _refine(Ma: IntMatrix, Mb: IntMatrix) -> tuple[list[int], list[int]] | None:
     col_a = [palette[k] for k in keys_a]
     col_b = [palette[k] for k in keys_b]
 
-    def histogram(cols: list[int]) -> dict[int, int]:
-        h: dict[int, int] = {}
-        for c in cols:
-            h[c] = h.get(c, 0) + 1
-        return h
-
     while True:
-        if histogram(col_a) != histogram(col_b):
+        if Counter(col_a) != Counter(col_b):
             return None
         sig_a = [
             (col_a[v], tuple(sorted((Ma.rows[v][u], col_a[u]) for u in range(n) if u != v)))
@@ -81,7 +79,7 @@ def _refine(Ma: IntMatrix, Mb: IntMatrix) -> tuple[list[int], list[int]] | None:
         new_a = [palette[s] for s in sig_a]
         new_b = [palette[s] for s in sig_b]
         if len(set(new_a)) == len(set(col_a)):
-            if histogram(new_a) != histogram(new_b):
+            if Counter(new_a) != Counter(new_b):
                 return None
             return new_a, new_b
         col_a, col_b = new_a, new_b
@@ -92,9 +90,7 @@ def _search_order(M: IntMatrix, colors: list[int]) -> list[int]:
     first, then rarest color, then index."""
     n = M.n
     rows = M.rows
-    class_size: dict[int, int] = {}
-    for c in colors:
-        class_size[c] = class_size.get(c, 0) + 1
+    class_size = Counter(colors)
     ordered: list[int] = []
     placed = [False] * n
     anchored = [0] * n  # how many ordered support-neighbors each vertex has
@@ -189,8 +185,7 @@ def find_matrix_mapping(
                 return None
             depth -= 1
 
-    p = Permutation(tuple(mapping))
     # not an assert: the guarantee must hold under python -O too
-    if any(rows_a[i][j] != rows_b[p(i)][p(j)] for i in range(n) for j in range(n)):
+    if any(rows_a[i][j] != rows_b[mapping[i]][mapping[j]] for i in range(n) for j in range(n)):
         raise AssertionError("mapping search returned a non-witness; engine bug")
-    return p
+    return Permutation(tuple(mapping))

@@ -213,6 +213,21 @@ class TestNecessaryConditions:
         assert not necessary_conditions([[0, 1]]).overall
         assert not necessary_conditions("nope").overall
         assert not necessary_conditions([[0.5]]).overall
+        later = ["zero_free_diagonal_ok", "common_neighbor_bound", "trace_even",
+                 "c4_divisible_by_4", "rowsum_multiset_feasible"]
+        problem = "row 1 has length 2, expected 1"
+        assert necessary_conditions([[0, 1]]).to_json_dict()["checks"] == {
+            "symmetric": {"passed": False, "reason": problem},
+            **{name: {"passed": False, "reason": f"not evaluated: {problem}"}
+               for name in ["nonneg_integer", *later]},
+        }
+        assert necessary_conditions([[0, 1], [2, 0]]).to_json_dict()["checks"] == {
+            "symmetric": {"passed": False, "reason": "s_1,2=1 differs from s_2,1=2"},
+            "nonneg_integer": {"passed": True, "reason": "all entries are nonnegative integers"},
+            **{name: {"passed": False,
+                      "reason": "not evaluated: requires a symmetric nonnegative matrix"}
+               for name in later},
+        }
 
     def test_diagonal_bound(self):
         report = necessary_conditions([[3, 0], [0, 0]])

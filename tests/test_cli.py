@@ -259,6 +259,17 @@ class TestBudgetOptions:
         args = parser.parse_args(["iso", "a", "b", "--max-nodes", "7"])
         assert _budget(IsoBudget, args) == IsoBudget(max_nodes=7)
 
+    @pytest.mark.parametrize("command", ["realize", "iso", "similar", "family"])
+    @pytest.mark.parametrize("option", [["--max-nodes", "-5"], ["--max-seconds", "-1"]])
+    def test_negative_limit_is_an_input_error(self, command, option, c3_file, tmp_path, capsys):
+        s = tmp_path / "s.json"
+        s.write_text("[[0]]")
+        inputs = {"realize": [str(s)], "iso": [c3_file, c3_file],
+                  "similar": [str(s), str(s)], "family": [c3_file, "-k", "1"]}[command]
+        code, _, err = run([command, *inputs, *option], capsys=capsys)
+        assert code == 2
+        assert "must be positive" in err
+
 
 class TestPipelines:
     def test_square_pipes_into_realize_in_process(self, monkeypatch, capsys):

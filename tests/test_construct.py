@@ -182,6 +182,12 @@ class TestAreIsomorphic:
         with pytest.raises(BudgetExhausted):
             are_isomorphic(G, H, budget=IsoBudget(max_nodes=1))
 
+    @pytest.mark.parametrize("limits", [{"max_nodes": 0}, {"max_nodes": -5},
+                                        {"max_seconds": 0}, {"max_seconds": -1}])
+    def test_budget_rejects_non_positive_limits(self, limits):
+        with pytest.raises(ValueError, match="must be positive"):
+            IsoBudget(**limits)
+
     def test_different_sizes_absent(self):
         assert are_isomorphic(cycle(3), cycle(4)) is None
 

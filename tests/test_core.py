@@ -103,6 +103,17 @@ class TestIntMatrix:
         with pytest.raises(ValueError, match="not an integer"):
             IntMatrix.from_rows([[0.5]])
 
+    @pytest.mark.parametrize("rows, message", [
+        (((0, 1), (1,)), "row 2 has length 1, expected 2"),
+        (((0.5,),), "entry at row 1, column 1 is not an integer"),
+        (((0, True), (True, 0)), "entry at row 1, column 2 is not an integer"),
+        (((0, 1), (1, -3)), "entry at row 2, column 2 is negative: -3"),
+    ])
+    def test_messages_use_one_indexed_positions(self, rows, message):
+        with pytest.raises(ValueError) as exc:
+            IntMatrix(rows)
+        assert str(exc.value) == message
+
     def test_symmetry_probe(self):
         assert IntMatrix.from_rows([[0, 2], [2, 0]]).is_symmetric()
         assert not IntMatrix.from_rows([[0, 2], [1, 0]]).is_symmetric()

@@ -89,8 +89,9 @@ class TestMatrixFormats:
         assert parse_matrix_text(to_matrix_text(M)) == M
 
     def test_json_rejects_ragged(self):
-        with pytest.raises(FormatError, match="length"):
+        with pytest.raises(FormatError, match="length") as exc:
             parse_matrix_json("[[1,2],[3]]")
+        assert str(exc.value) == "matrix JSON: row 2 has length 1, expected 2"
 
     def test_json_rejects_non_integer(self):
         with pytest.raises(FormatError, match="not an integer"):
