@@ -5,9 +5,19 @@ all labeled graphs whose adjacency-matrix square equals S.
 
 Algorithm
 ---------
-Decision variables are the C(n,2) potential edges, ordered row by row:
-(0,1),(0,2),…,(0,n-1),(1,2),…  Values are tried absent-first (0 then 1),
-which makes the enumeration order and every outcome deterministic.
+The vertices are first ordered by descending s_ii (the degree the
+square demands), ties broken by index, and the search runs on S
+relabelled in that order; every witness is mapped back to the caller's
+labels.  Placing high-degree vertices first decides the most
+constrained rows early, which is where the pruning below bites.  An S
+whose diagonal is already non-increasing, in particular every regular S
+(every duplication square, C6, Petersen), keeps the identity order and
+is searched exactly as given.
+
+Decision variables are the C(n,2) potential edges of the ordered
+vertices, row by row: (0,1),(0,2),…,(0,n-1),(1,2),…  Values are tried
+absent-first (0 then 1), which makes the enumeration order and every
+outcome deterministic.
 
 The only search state is one neighbor bitmask per vertex, ``adj``.  It
 counts two-walks directly: the degree of i is ``adj[i].bit_count()`` and
@@ -67,8 +77,27 @@ def run_search(
     enumerate everything.
 
     Returns (status, witnesses, nodes) where each witness is a sorted
-    edge list.
+    edge list in the caller's labels.
     """
+    # sorted() is stable, so equal diagonals keep their index order
+    order = sorted(range(n), key=lambda v: -s[v][v])
+    if order == list(range(n)):
+        return _search(n, s, max_nodes, time_limit, witness_limit)
+    status, witnesses, nodes = _search(
+        n, [[s[a][b] for b in order] for a in order], max_nodes, time_limit, witness_limit
+    )
+    back = [sorted(tuple(sorted((order[i], order[j]))) for i, j in w) for w in witnesses]
+    return status, back, nodes
+
+
+def _search(
+    n: int,
+    s: list[list[int]],
+    max_nodes: int,
+    time_limit: float,
+    witness_limit: int,
+) -> tuple[int, list[list[tuple[int, int]]], int]:
+    """``run_search`` on the vertices in the order given."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     npairs = len(pairs)
     deadline = time.monotonic() + time_limit if time_limit > 0 else 0.0

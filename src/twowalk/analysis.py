@@ -141,20 +141,21 @@ def _c4_pair_sum(rows: Sequence[Sequence[int]]) -> int:
     return total
 
 
-def _size_and_sum_reachable(values: Sequence[int], k: int, target: int) -> bool:
-    """Exact test: does some sub-multiset of `values` have exactly k
-    elements summing to `target`?  Bitset DP over (count, sum)."""
-    if k < 0 or target < 0 or k > len(values):
-        return False
-    mask = (1 << (target + 1)) - 1
+def _sums_of_size(values: Sequence[int], k: int, limit: int) -> int:
+    """Bitmask of every sum <= `limit` of a sub-multiset of `values` with
+    exactly k elements (bit t set: t is reachable).  Bitset DP over
+    (count, sum); sums only grow, so cutting at `limit` loses none below."""
+    if k > len(values):
+        return 0
+    mask = (1 << (limit + 1)) - 1
     dp = [0] * (k + 1)
     dp[0] = 1
     for v in values:
-        if v > target:
+        if v > limit:
             continue
-        for c in range(min(k, len(values)), 0, -1):
+        for c in range(k, 0, -1):
             dp[c] = (dp[c] | (dp[c - 1] << v)) & mask
-    return bool((dp[k] >> target) & 1)
+    return dp[k]
 
 
 @dataclass(frozen=True)
@@ -207,12 +208,20 @@ class RowSumReport:
         return "\n".join(lines)
 
 
-def _row_multiset_feasible(diag: Sequence[int], i: int, row_sum: int) -> bool:
-    """Can s_ii values be picked from the other diagonal entries (one
-    occurrence of s_ii removed: a vertex is not its own neighbor) so
-    that they sum to the full row sum?"""
-    others = [diag[j] for j in range(len(diag)) if j != i]
-    return _size_and_sum_reachable(others, diag[i], row_sum)
+def _rows_multiset_feasible(diag: Sequence[int], sums: Sequence[int]) -> list[bool]:
+    """For each row i: can s_ii values be picked from the other diagonal
+    entries (one occurrence of s_ii removed: a vertex is not its own
+    neighbor) so that they sum to the full row sum?
+
+    The other entries are the whole diagonal minus one copy of s_ii, so
+    rows with equal s_ii share them: one DP per distinct diagonal value,
+    up to the largest row sum among its rows, answers every such row."""
+    reachable = {}
+    for d in set(diag):
+        i = diag.index(d)
+        limit = max(s for dd, s in zip(diag, sums) if dd == d)
+        reachable[d] = _sums_of_size(diag[:i] + diag[i + 1:], d, limit)
+    return [reachable[d] >> s & 1 == 1 for d, s in zip(diag, sums)]
 
 
 def row_sum_report(S: IntMatrix) -> RowSumReport:
@@ -223,6 +232,7 @@ def row_sum_report(S: IntMatrix) -> RowSumReport:
     n = S.n
     diag = S.diagonal()
     sums = S.row_sums()
+    feasible = _rows_multiset_feasible(diag, sums)
     rows = []
     for i in range(n):
         d = diag[i]
@@ -233,7 +243,7 @@ def row_sum_report(S: IntMatrix) -> RowSumReport:
                 row_sum=sums[i],
                 diagonal=d,
                 avg_neighbor_degree=avg,
-                multiset_feasible=_row_multiset_feasible(diag, i, sums[i]),
+                multiset_feasible=feasible[i],
             )
         )
     return RowSumReport(tuple(rows))
@@ -421,10 +431,8 @@ def _square_checks(rows: tuple[tuple[int, ...], ...]) -> dict[str, CheckResult]:
         else CheckResult(False, f"Σ C(s_ij,2) = {pair_sum} is not divisible by 4")
     )
 
-    infeasible = [
-        i for i in range(n)
-        if not _row_multiset_feasible(diag, i, sum(rows[i]))
-    ]
+    feasible = _rows_multiset_feasible(diag, [sum(row) for row in rows])
+    infeasible = [i for i in range(n) if not feasible[i]]
     if not infeasible:
         multiset = CheckResult(True, "every row sum is reachable as a sum of other diagonal entries")
     else:

@@ -137,7 +137,7 @@ def cmd_count_c4(args) -> int:
 def cmd_realize(args) -> int:
     M = _load_matrix(args.input, args.format)
     budget = _budget(SearchBudget, args)
-    if args.all or args.limit:
+    if args.all or args.limit is not None:
         enum = realize_all(M, limit=args.limit, budget=budget)
         if args.json:
             _emit(json.dumps(enum.to_json_dict(), indent=2) + "\n", args.out)

@@ -144,9 +144,13 @@ def _search(S: IntMatrix, budget: SearchBudget, witness_limit: int):
 def realize(S: IntMatrix, budget: SearchBudget | None = None) -> RealizationOutcome:
     """Decide whether S is the square of some adjacency matrix.
 
-    Deterministic given S and the budget: fixed variable order (edges row
-    by row) and value order (edge absent before present).  A Realized
-    outcome always carries a witness that has been re-verified against S.
+    Deterministic given S and the budget.  The kernel orders the vertices
+    by descending s_ii, ties broken by index, then decides edges row by
+    row in that order, absent before present; the witness is returned in
+    S's own labels.  Relabelling a non-regular S can therefore change
+    which witness comes first (and the node count), never the verdict
+    once the search finishes.  A Realized outcome always carries a
+    witness that has been re-verified against S.
     """
     failed, status, witnesses, nodes, elapsed = _search(S, budget or SearchBudget(), 1)
     if failed is not None:
@@ -173,7 +177,7 @@ def realize_all(
     budget: SearchBudget | None = None,
 ) -> Enumeration:
     """Enumerate (up to ``limit``) every labeled graph whose adjacency
-    square equals S, in the search's deterministic order.
+    square equals S, in the search's deterministic order (see ``realize``).
 
     Witnesses are labeled graphs; callers wanting representatives up to
     isomorphism can post-filter with ``construct.are_isomorphic``.

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -141,6 +142,24 @@ class TestRowSumReport:
         assert not report.rows[0].multiset_feasible
         # index 1 has s_ii=1 and must find one other diagonal value equal to 3: impossible
         assert not report.rows[1].multiset_feasible
+
+    def test_multiset_flags_match_subset_oracle(self, rng):
+        """Rows sharing a diagonal value share one DP; every flag must still
+        equal the direct search over sub-multisets of the other entries."""
+        for _ in range(150):
+            n = rng.randrange(1, 8)
+            diag = [rng.randrange(min(n, 3)) for _ in range(n)]
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = diag[i]
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = rng.randrange(min(diag[i], diag[j]) + 2)
+            for r in row_sum_report(IntMatrix.from_rows(rows)).rows:
+                others = diag[:r.index] + diag[r.index + 1:]
+                expected = any(
+                    sum(c) == r.row_sum for c in itertools.combinations(others, r.diagonal)
+                )
+                assert r.multiset_feasible == expected
 
     def test_row_sums_match_neighbor_degree_oracle(self, rng):
         for n in range(6):

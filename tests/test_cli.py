@@ -156,6 +156,15 @@ class TestRealizeCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_non_positive_limit_is_an_input_error(self, limit, monkeypatch, capsys):
+        S = square(adjacency_matrix(cycle(6)))
+        code, out, err = run(["realize", "-", "--limit", limit],
+                             stdin_text=to_matrix_text(S), monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert "limit must be positive" in err
+
 
 class TestFamilyCommand:
     def test_c3_k1_bundle(self, c3_file, capsys):

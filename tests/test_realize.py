@@ -185,12 +185,42 @@ class TestRealizeAll:
         enum = realize_all(sq(cycle(6)), limit=1)
         assert enum.complete and len(enum) == 1
 
-    def test_matches_brute_force_exhaustive_n4(self):
-        for G in all_graphs(4):
-            S = sq(G)
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_brute_force_exhaustive(self, n):
+        squares = {sq(G) for G in all_graphs(n)}
+        for S in squares:
             expected = {frozenset(w.edges) for w in brute_force_square_witnesses(S)}
             got = {frozenset(w.edges) for w in realize_all(S)}
             assert got == expected
+
+    def test_witness_set_equivariant_under_similarity(self, rng):
+        """The kernel searches in its own vertex order but reports witnesses
+        in the caller's labels: relabelling S relabels its witness set."""
+        checked = 0
+        while checked < 12:
+            n = rng.randrange(6, 8)
+            G = random_graph(rng, n)
+            S = sq(G)
+            if len(set(S.diagonal())) == 1:
+                continue
+            checked += 1
+            p = Permutation(tuple(rng.sample(range(n), n)))
+            T = apply_similarity(S, p)
+            # T[i][j] == S[p(i)][p(j)]: an edge {a, b} of S's witness is
+            # the edge {p⁻¹(a), p⁻¹(b)} of T's
+            inv = p.inverse()
+            expected = {
+                frozenset(tuple(sorted((inv(a), inv(b)))) for a, b in w.edges)
+                for w in realize_all(S)
+            }
+            got = {frozenset(w.edges) for w in realize_all(T)}
+            assert got == expected
+
+    def test_star_with_hub_last_in_caller_labels(self):
+        star = graph_from_edges(6, [(v, 5) for v in range(5)])
+        out = realize(sq(star))
+        assert out.verdict is RealizationVerdict.REALIZED
+        assert out.witness.sorted_edges() == [(v, 5) for v in range(5)]
 
     def test_infeasible_gives_empty_complete(self):
         enum = realize_all(INFEASIBLE_4X4)
@@ -211,12 +241,18 @@ PETERSEN = graph_from_edges(
 
 @pytest.mark.parametrize(
     "G, first_nodes, all_nodes, all_witnesses",
-    [(cycle(6), 35, 188, 7), (PETERSEN, 820, 10732, 11)],
-    ids=["C6", "Petersen"],
+    [
+        (cycle(6), 35, 188, 7),
+        (PETERSEN, 820, 10732, 11),
+        (graph_from_edges(10, sorted(set(PETERSEN.edges) - {(0, 1)})), 183, 5604, 6),
+    ],
+    ids=["C6", "Petersen", "Petersen-minus-edge"],
 )
 def test_node_counts_pinned(G, first_nodes, all_nodes, all_witnesses):
     """The search order and node accounting are a contract: these counts
-    depend on the exact labelling and must not drift."""
+    depend on the exact labelling and must not drift.  C6 and Petersen are
+    regular, so the kernel searches them in the identity order; Petersen
+    minus an edge is not, so its counts pin the degree-descending order."""
     assert realize(sq(G)).nodes_explored == first_nodes
     enum = realize_all(sq(G))
     assert enum.complete
