@@ -5,19 +5,36 @@ all labeled graphs whose adjacency-matrix square equals S.
 
 Algorithm
 ---------
-The vertices are first ordered by descending s_ii (the degree the
-square demands), ties broken by index, and the search runs on S
-relabelled in that order; every witness is mapped back to the caller's
-labels.  Placing high-degree vertices first decides the most
-constrained rows early, which is where the pruning below bites.  An S
-whose diagonal is already non-increasing, in particular every regular S
-(every duplication square, C6, Petersen), keeps the identity order and
-is searched exactly as given.
+**Blocks.**  Two vertices with a common neighbour have s_ij > 0, so
+each connected component of a witness G lies inside the union of the
+support components of S (off-diagonal nonzero pattern) that it meets.
+A nonbipartite component of G is exactly one support component P, with
+all its edges inside P; a bipartite one is exactly two, its sides P and
+Q, with all its edges between them.  A support component that is one
+vertex with s_vv = 0 is an isolated vertex and takes no edges.
 
-Decision variables are the C(n,2) potential edges of the ordered
-vertices, row by row: (0,1),(0,2),…,(0,n-1),(1,2),…  Values are tried
-absent-first (0 then 1), which makes the enumeration order and every
-outcome deterministic.
+**Covers.**  Every witness is therefore one *cover* of the remaining
+support components: a matching of some of them into pairs, a
+realization of each unmatched component alone (its trace, twice its
+edge count, must be even) and a *cross* realization of each matched
+pair (P, Q) on the P × Q vertex pairs only (the two traces must be equal
+and positive).  Distinct covers give disjoint witness sets, and a cover
+gives the product of its blocks' witness sets.  Covers are generated
+depth first: the lowest uncovered component is tried alone first, then
+with each partner in index order.  Block searches are memoized on the
+block's matrix, and a set of components found to have no cover is not
+tried again.  The products of a cover are emitted in lexicographic
+order.  An S with one support component and no isolated vertex is
+searched as one block, exactly as before the split.
+
+**Plan.**  Inside a block the vertices are ordered by descending s_ii,
+ties broken by index (a cross block: P's vertices, then Q's), and the
+search decides the block's vertex pairs in the order of a *plan*: all
+pairs row by row, (0,1),(0,2),…,(1,2),… for a block searched alone;
+P × Q row by row for a cross block.  The plan depends only on the block's
+shape, so it is built once per shape.  Values are tried absent-first
+(0 then 1), which makes the enumeration order and every outcome
+deterministic.
 
 The only search state is one neighbor bitmask per vertex, ``adj``.  It
 counts two-walks directly: the degree of i is ``adj[i].bit_count()`` and
@@ -26,30 +43,38 @@ the number of common neighbors of i and j is
 added, so exceeding the target (degree of i > s_ii, common neighbors of
 i and j > s_ij) prunes soundly.  Additional pruning:
 
-* after deciding pair (i,j): row i can still reach at most
-  deg(i) + (n-1-j) neighbors and row j at most deg(j) + (n-i-2); either
-  falling short of the required diagonal prunes;
-* when row i completes (j = n-1): deg(i) must equal s_ii exactly, every
-  now-final common-neighbor count of a and i (a < i) must equal s_ai,
-  and every later row r must still be able to reach s_rr.
+* after deciding a pair (i,j): each of i and j can still gain at most
+  as many neighbors as it has undecided plan positions; falling short of
+  the required diagonal prunes;
+* when the last position of a vertex v is decided (a *completion
+  event*), its common-neighbor count with every vertex that is already
+  final on its side of the block must equal the entry of S (its degree
+  is then exactly s_vv by the two checks above), and every vertex with
+  some but not all of its positions decided must still be able to reach
+  its diagonal.
 
-Degrees-from-diagonal and common-neighbors-from-off-diagonal are exactly
-the two-walk interpretation of the square, which is what makes this
-propagation complete: a full assignment that survives all row-completion
-checks necessarily satisfies A·A == S.
+Every pair of a block's vertices on the same side is compared at the
+completion of the later one, and pairs across a cross block have no
+common neighbor within it, so a full assignment that survives the
+completion events has the block's square equal to S on the block.
 
 The search runs on an explicit stack (one value cursor and one
 "edge applied" flag per position) rather than by recursion, so its depth
 is not bounded by, and it never changes, the interpreter's recursion
-limit.
+limit.  The covers are walked on an explicit stack too.
 
 A "node" is one attempted (position, value) assignment, counted before
-its feasibility checks run.
+its feasibility checks run.  The node cap and the deadline are shared by
+all block searches of one call.
 """
 
 from __future__ import annotations
 
 import time
+from functools import lru_cache
+from itertools import chain, product
+
+from .analysis import _component_labels
 
 KERNEL_NAME = "python"
 
@@ -60,6 +85,7 @@ HIT_TIME_BUDGET = 2
 HIT_WITNESS_LIMIT = 3
 
 _TIME_CHECK_MASK = 0x3FF  # consult the clock every 1024 nodes
+_NO_CAP = 1 << 62  # node cap standing for "unlimited"
 
 
 def run_search(
@@ -77,58 +103,254 @@ def run_search(
     enumerate everything.
 
     Returns (status, witnesses, nodes) where each witness is a sorted
-    edge list in the caller's labels.
+    edge list in the caller's labels.  A search stopped by a budget
+    returns the witnesses emitted before the stop.
     """
+    cap = max_nodes if max_nodes > 0 else _NO_CAP
+    deadline = time.monotonic() + time_limit if time_limit > 0 else 0.0
+    label, count = _component_labels(s)
+    comps: list[list[int]] = [[] for _ in range(count)]
+    for v, c in enumerate(label):
+        comps[c].append(v)
+    blocks = [c for c in comps if len(c) > 1 or s[c[0]][c[0]]]
+    if count == 1 and blocks:
+        # one support component, no isolated vertex: nothing to split
+        order = _degree_order(s, range(n))
+        if order == list(range(n)):
+            return _search(s, _plan(n, 0), cap, deadline, witness_limit)
+        status, witnesses, nodes = _search(
+            _submatrix(s, order), _plan(n, 0), cap, deadline, witness_limit
+        )
+        return status, [sorted(_relabel(w, order)) for w in witnesses], nodes
+    return _Covers(s, blocks, cap, deadline, witness_limit).run()
+
+
+def _degree_order(s: list[list[int]], vertices) -> list[int]:
     # sorted() is stable, so equal diagonals keep their index order
-    order = sorted(range(n), key=lambda v: -s[v][v])
-    if order == list(range(n)):
-        return _search(n, s, max_nodes, time_limit, witness_limit)
-    status, witnesses, nodes = _search(
-        n, [[s[a][b] for b in order] for a in order], max_nodes, time_limit, witness_limit
-    )
-    back = [sorted(tuple(sorted((order[i], order[j]))) for i, j in w) for w in witnesses]
-    return status, back, nodes
+    return sorted(vertices, key=lambda v: -s[v][v])
+
+
+def _submatrix(s: list[list[int]], labels: list[int]) -> list[list[int]]:
+    return [[s[a][b] for b in labels] for a in labels]
+
+
+def _relabel(edges: list[tuple[int, int]], labels: list[int]) -> list[tuple[int, int]]:
+    """Block-local edges in the caller's labels, each as (low, high)."""
+    out = []
+    for i, j in edges:
+        a, b = labels[i], labels[j]
+        out.append((a, b) if a < b else (b, a))
+    return out
+
+
+class _Aborted(Exception):
+    """A block search hit the node or time budget."""
+
+    def __init__(self, status: int):
+        super().__init__(status)
+        self.status = status
+
+
+class _Covers:
+    """Witnesses of an S whose support splits: the depth-first walk over
+    covers of its components (see the module docstring)."""
+
+    def __init__(self, s, blocks, cap, deadline, witness_limit):
+        self.s = s
+        self.blocks = blocks
+        self.trace = [sum(s[v][v] for v in b) for b in blocks]
+        self.cap = cap
+        self.deadline = deadline
+        self.limit = witness_limit
+        self.nodes = 0
+        self.by_matrix: dict = {}  # block matrix -> block-local witnesses
+        self.by_option: dict = {}  # (c, d) -> witnesses in the caller's labels
+        self.witnesses: list[list[tuple[int, int]]] = []
+
+    def run(self) -> tuple[int, list[list[tuple[int, int]]], int]:
+        try:
+            if self._walk((1 << len(self.blocks)) - 1):
+                return HIT_WITNESS_LIMIT, self.witnesses, self.nodes
+        except _Aborted as stop:
+            return stop.status, self.witnesses, self.nodes
+        return EXHAUSTED, self.witnesses, self.nodes
+
+    def _walk(self, everything: int) -> bool:
+        """Emit the products of every cover of ``everything`` (a bitmask
+        of block indices); True when the witness limit was reached."""
+        if not everything:
+            return self._emit([])
+        dead = set()  # component sets known to have no cover
+        # one frame per chosen block: [components left, their options, covered]
+        stack = [[everything, self._options(everything), False]]
+        chosen: list[list] = []
+        while stack:
+            top = stack[-1]
+            step = next(top[1], None)
+            if step is None:
+                stack.pop()
+                if not stack:
+                    break
+                chosen.pop()
+                if top[2]:
+                    stack[-1][2] = True
+                else:
+                    dead.add(top[0])
+                continue
+            witnesses, rest = step
+            if rest in dead:
+                continue
+            chosen.append(witnesses)
+            if rest:
+                stack.append([rest, self._options(rest), False])
+                continue
+            top[2] = True
+            if self._emit(chosen):
+                return True
+            chosen.pop()
+        return False
+
+    def _options(self, mask: int):
+        """Nonempty witness lists of the ways to cover the lowest
+        component c of ``mask``, with what is left: c alone, then c with
+        each partner in index order."""
+        c = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << c)
+        t = self.trace[c]
+        if t % 2 == 0:
+            witnesses = self._block(c, None)
+            if witnesses:
+                yield witnesses, rest
+        m = rest if t > 0 else 0
+        while m:
+            low = m & -m
+            m ^= low
+            d = low.bit_length() - 1
+            if self.trace[d] == t:
+                witnesses = self._block(c, d)
+                if witnesses:
+                    yield witnesses, rest ^ low
+
+    def _block(self, c: int, d: int | None) -> list[list[tuple[int, int]]]:
+        """Witnesses of block c alone (d None) or of the cross block
+        (c, d), searched once per block matrix."""
+        key = (c, d)
+        if key in self.by_option:
+            return self.by_option[key]
+        s = self.s
+        side = _degree_order(s, self.blocks[c])
+        labels = side + (_degree_order(s, self.blocks[d]) if d is not None else [])
+        local = _submatrix(s, labels)
+        shape = (len(side), len(labels) - len(side))
+        matrix = (shape, tuple(map(tuple, local)))
+        found = self.by_matrix.get(matrix)
+        if found is None:
+            if self.deadline and time.monotonic() > self.deadline:
+                raise _Aborted(HIT_TIME_BUDGET)
+            status, found, nodes = _search(
+                local, _plan(*shape), self.cap - self.nodes, self.deadline, self.limit
+            )
+            self.nodes += nodes
+            if status in (HIT_NODE_BUDGET, HIT_TIME_BUDGET):
+                raise _Aborted(status)
+            self.by_matrix[matrix] = found
+        mapped = [_relabel(w, labels) for w in found]
+        self.by_option[key] = mapped
+        return mapped
+
+    def _emit(self, chosen: list[list]) -> bool:
+        """Append the product of the chosen blocks' witness lists; True
+        when the witness limit was reached."""
+        witnesses = self.witnesses
+        for parts in product(*chosen):
+            witnesses.append(sorted(chain.from_iterable(parts)))
+            if len(witnesses) == self.limit:
+                return True
+        return False
+
+
+@lru_cache(maxsize=256)
+def _plan(a: int, b: int) -> tuple[tuple, tuple]:
+    """Decision plan of a block of ``a`` vertices searched alone (b = 0)
+    or of the cross block between sides 0..a-1 and a..a+b-1.
+
+    Returns (steps, events).  ``steps[t]`` is (i, j, left_i, left_j): the
+    pair decided at position t and how many positions of i and of j come
+    after it.  ``events[t]`` is None or (completions, capacity):
+    completions lists (v, vertices already final on v's side) for each
+    vertex whose last position is t, and capacity lists (r, positions
+    left) for every vertex with some, but not all, positions decided.
+    """
+    if b:
+        pairs = [(i, a + j) for i in range(a) for j in range(b)]
+    else:
+        pairs = [(i, j) for i in range(a) for j in range(i + 1, a)]
+    size = a + b
+    side = [0] * a + [1] * b
+    left = [0] * size
+    for i, j in pairs:
+        left[i] += 1
+        left[j] += 1
+    touched = [False] * size
+    final: list[int] = []
+    steps = []
+    events = []
+    for i, j in pairs:
+        left[i] -= 1
+        left[j] -= 1
+        touched[i] = touched[j] = True
+        steps.append((i, j, left[i], left[j]))
+        completions = []
+        for v in (i, j):
+            if left[v] == 0:
+                completions.append((v, tuple(u for u in final if side[u] == side[v])))
+                final.append(v)
+        if completions:
+            capacity = tuple((r, left[r]) for r in range(size) if touched[r] and left[r])
+            events.append((tuple(completions), capacity))
+        else:
+            events.append(None)
+    return tuple(steps), tuple(events)
 
 
 def _search(
-    n: int,
     s: list[list[int]],
-    max_nodes: int,
-    time_limit: float,
+    plan: tuple[tuple, tuple],
+    cap: int,
+    deadline: float,
     witness_limit: int,
 ) -> tuple[int, list[list[tuple[int, int]]], int]:
-    """``run_search`` on the vertices in the order given."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    npairs = len(pairs)
-    deadline = time.monotonic() + time_limit if time_limit > 0 else 0.0
-
-    adj = [0] * n  # neighbor bitmasks
+    """Search one block: decide the positions of ``plan`` on the vertices
+    of ``s`` as given.  Witnesses are sorted block-local edge lists;
+    more than ``cap`` nodes aborts."""
+    steps, events = plan
+    npos = len(steps)
+    adj = [0] * len(s)  # neighbor bitmasks
     witnesses: list[list[tuple[int, int]]] = []
     nodes = 0
 
-    # n <= 1 has no vertex pairs: the all-zero matrix demanded by
-    # validation admits exactly the empty graph
-    if npairs == 0:
-        if all(s[i][i] == 0 and sum(s[i]) == 0 for i in range(n)):
+    # a block without vertex pairs admits only the empty graph, and only
+    # when S demands no edges of it
+    if npos == 0:
+        if all(sum(row) == 0 for row in s):
             witnesses.append([])
         return EXHAUSTED, witnesses, 0
 
     # explicit stack: the next value to try at each position, and whether
     # the edge of that position is currently added
-    value = [0] * npairs
-    applied = [False] * npairs
+    value = [0] * npos
+    applied = [False] * npos
     pos = 0
     while True:
-        if pos == npairs:
-            witnesses.append(sorted(
-                (i, j) for i in range(n) for j in range(i + 1, n) if adj[i] >> j & 1
-            ))
+        if pos == npos:
+            # the plan lists the pairs in sorted order
+            witnesses.append([(i, j) for i, j, _, _ in steps if adj[i] >> j & 1])
             if 0 < witness_limit <= len(witnesses):
                 return HIT_WITNESS_LIMIT, witnesses, nodes
             pos -= 1
             continue
 
-        i, j = pairs[pos]
+        i, j, left_i, left_j = steps[pos]
         # the flag is kept: clearing the bits on every visit measured slower
         if applied[pos]:
             applied[pos] = False
@@ -146,7 +368,7 @@ def _search(
         value[pos] = v + 1
 
         nodes += 1
-        if 0 < max_nodes < nodes:
+        if nodes > cap:
             return HIT_NODE_BUDGET, witnesses, nodes
         if deadline and nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
             return HIT_TIME_BUDGET, witnesses, nodes
@@ -186,22 +408,25 @@ def _search(
             adj[j] = aj
             applied[pos] = True
 
-        # remaining-capacity checks for the two rows just touched
-        di = ai.bit_count()
-        ok = di + (n - 1 - j) >= si[i] and aj.bit_count() + (n - i - 2) >= sj[j]
-        if ok and j == n - 1:
-            # row i is complete: its degree and common-neighbor counts
-            # with every earlier row are final
-            ok = di == si[i]
-            if ok:
-                for a in range(i):
-                    if (ai & adj[a]).bit_count() != si[a]:
-                        ok = False
+        # remaining-capacity checks for the two vertices just touched
+        ok = ai.bit_count() + left_i >= si[i] and aj.bit_count() + left_j >= sj[j]
+        if ok:
+            event = events[pos]
+            if event is not None:
+                completions, capacity = event
+                for u, earlier in completions:
+                    au = adj[u]
+                    su = s[u]
+                    for a in earlier:
+                        if (au & adj[a]).bit_count() != su[a]:
+                            ok = False
+                            break
+                    if not ok:
                         break
-            if ok:
-                for r in range(i + 1, n):
-                    if adj[r].bit_count() + (n - i - 2) < s[r][r]:
-                        ok = False
-                        break
+                if ok:
+                    for r, left_r in capacity:
+                        if adj[r].bit_count() + left_r < s[r][r]:
+                            ok = False
+                            break
         if ok:
             pos += 1

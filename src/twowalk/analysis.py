@@ -47,15 +47,14 @@ def support_components(S: IntMatrix) -> IndexPartition:
     off-blocks exactly when component_count ≥ 2.
     """
     _require_symmetric(S, "support_components")
-    label, count = _component_labels(S)
+    label, count = _component_labels(S.rows)
     return IndexPartition(tuple(label), count)
 
 
-def _component_labels(S: IntMatrix) -> tuple[list[int], int]:
-    """BFS labelling behind ``support_components``, without its symmetry
-    check, for callers whose input is already known to be symmetric."""
-    n = S.n
-    rows = S.rows
+def _component_labels(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """BFS labelling behind ``support_components``, on the rows of a
+    matrix already known to be symmetric."""
+    n = len(rows)
     label = [-1] * n
     count = 0
     for start in range(n):

@@ -10,6 +10,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -263,7 +264,9 @@ def _add_common(sub, *, second_input=False, matrix=False):
                      help="search time budget in seconds")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: no action in it changes its state."""
     parser = argparse.ArgumentParser(
         prog="twowalk",
         description="analyze and realize squares of graph adjacency matrices",

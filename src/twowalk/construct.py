@@ -6,7 +6,7 @@ permutation-similarity front ends used to certify those claims.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .core import (
@@ -95,9 +95,29 @@ def are_isomorphic(
     Exact backtracking over color-refined vertex classes; raises
     BudgetExhausted rather than guessing on large hard inputs.
     """
-    if G.n != H.n or G.num_edges != H.num_edges:
+    if G.n != H.n or G.num_edges != H.num_edges or _invariants(G) != _invariants(H):
         return None
     return find_matrix_mapping(adjacency_matrix(G), adjacency_matrix(H), budget)
+
+
+def _invariants(G: Graph) -> tuple[list[int], list[int]]:
+    """Sorted degree sequence and sorted component sizes, from the edges
+    alone: a cheap rejection before any matrix is built."""
+    degree = [0] * G.n
+    parent = list(range(G.n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, j in G.edges:
+        degree[i] += 1
+        degree[j] += 1
+        parent[root(i)] = root(j)
+    sizes = Counter(root(v) for v in range(G.n))
+    return sorted(degree), sorted(sizes.values())
 
 
 def permutation_similar(

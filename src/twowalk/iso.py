@@ -37,7 +37,7 @@ class IsoBudget(SearchBudget):
 def _support_component_sizes(M: IntMatrix) -> list[int]:
     """Size of each index's component in the support graph (off-diagonal
     nonzero pattern); a sound invariant for both iso and similarity."""
-    label, count = _component_labels(M)
+    label, count = _component_labels(M.rows)
     sizes = [0] * count
     for c in label:
         sizes[c] += 1

@@ -1,9 +1,10 @@
 """Exact decision procedure for "is S the square of an adjacency matrix?"
 
 A candidate first goes through the necessary-condition battery; survivors
-are handed to an exhaustive backtracking search over the C(n,2) potential
-edges that either produces a witness graph (whose square is re-verified
-entrywise before returning) or proves by exhaustion that none exists.
+are handed to an exhaustive backtracking search over the potential edges,
+split along the support components of S, that either produces a witness
+graph (whose square is re-verified entrywise before returning) or proves
+by exhaustion that none exists.
 The search itself is the pure-Python kernel in ``_search_py``.
 """
 
@@ -149,8 +150,12 @@ def realize(S: IntMatrix, budget: SearchBudget | None = None) -> RealizationOutc
     row in that order, absent before present; the witness is returned in
     S's own labels.  Relabelling a non-regular S can therefore change
     which witness comes first (and the node count), never the verdict
-    once the search finishes.  A Realized outcome always carries a
-    witness that has been re-verified against S.
+    once the search finishes.  When S has two or more support components
+    (or an isolated vertex) the kernel searches them block by block, one
+    cover of the components at a time (see ``_search_py``), which again
+    changes the first witness and the order of ``realize_all``, never the
+    witness set.  A Realized outcome always carries a witness that has
+    been re-verified against S.
     """
     failed, status, witnesses, nodes, elapsed = _search(S, budget or SearchBudget(), 1)
     if failed is not None:

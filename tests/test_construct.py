@@ -32,6 +32,7 @@ from conftest import (
     component_count_oracle,
     cycle,
     empty,
+    path,
     random_graph,
     two_colorable_oracle,
 )
@@ -175,6 +176,22 @@ class TestAreIsomorphic:
                                      (0, 3), (1, 4), (2, 5)])
         assert are_isomorphic(k33, prism) is None
         assert nx.is_isomorphic(to_nx(k33), to_nx(prism)) is False
+
+    def test_component_sizes_reject_before_any_matrix(self, monkeypatch):
+        # 4·C5 and 2·C5 ⊔ C10: same order, size and degrees (all 2)
+        import twowalk.construct as construct
+
+        def refuse(G):
+            raise AssertionError("adjacency matrix built")
+
+        monkeypatch.setattr(construct, "adjacency_matrix", refuse)
+        c5_pair = disjoint_union(cycle(5), cycle(5))
+        four = disjoint_union(c5_pair, c5_pair)
+        other = disjoint_union(c5_pair, cycle(10))
+        assert are_isomorphic(four, other) is None
+        # P4 and the star K_1,3: same order and size, degrees differ
+        star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        assert are_isomorphic(path(4), star) is None
 
     def test_budget_exhaustion_raises(self):
         G = cycle(9)

@@ -14,6 +14,7 @@ from twowalk import (
     apply_similarity,
     are_isomorphic,
     disjoint_union,
+    duplication_family,
     graph_from_edges,
     necessary_conditions,
     realize,
@@ -21,7 +22,7 @@ from twowalk import (
     square,
     verify,
 )
-from conftest import all_graphs, brute_force_square_witnesses, cycle, empty, random_graph
+from conftest import all_graphs, brute_force_square_witnesses, complete, cycle, empty, random_graph
 
 INFEASIBLE_4X4 = IntMatrix.from_rows([[2, 1, 1, 0], [1, 2, 1, 1], [1, 1, 1, 0], [0, 1, 0, 1]])
 
@@ -242,7 +243,7 @@ PETERSEN = graph_from_edges(
 @pytest.mark.parametrize(
     "G, first_nodes, all_nodes, all_witnesses",
     [
-        (cycle(6), 35, 188, 7),
+        (cycle(6), 6, 82, 7),
         (PETERSEN, 820, 10732, 11),
         (graph_from_edges(10, sorted(set(PETERSEN.edges) - {(0, 1)})), 183, 5604, 6),
     ],
@@ -250,16 +251,116 @@ PETERSEN = graph_from_edges(
 )
 def test_node_counts_pinned(G, first_nodes, all_nodes, all_witnesses):
     """The search order and node accounting are a contract: these counts
-    depend on the exact labelling and must not drift.  C6 and Petersen are
-    regular, so the kernel searches them in the identity order; Petersen
-    minus an edge is not, so its counts pin the degree-descending order."""
+    depend on the exact labelling and must not drift.  C6 is bipartite, so
+    its square splits into two blocks whose triangles are searched once;
+    Petersen is regular and connected, so the kernel searches it as one
+    block in the identity order; Petersen minus an edge is not regular,
+    so its counts pin the degree-descending order."""
     assert realize(sq(G)).nodes_explored == first_nodes
     enum = realize_all(sq(G))
     assert enum.complete
     assert (enum.nodes_explored, len(enum)) == (all_nodes, all_witnesses)
 
 
+# passes the battery and is one support component, yet no graph has this
+# square: only the completion of the last vertex, whose common-neighbour
+# counts are otherwise capped from above only, rejects the candidate leaf
+LAST_VERTEX_INFEASIBLE = IntMatrix.from_rows([
+    [3, 1, 1, 1, 0, 2],
+    [1, 2, 1, 1, 1, 1],
+    [1, 1, 4, 1, 2, 1],
+    [1, 1, 1, 2, 1, 1],
+    [0, 1, 2, 1, 2, 1],
+    [2, 1, 1, 1, 1, 3],
+])
+
+
+def test_last_vertex_completion_is_checked():
+    S = LAST_VERTEX_INFEASIBLE
+    assert necessary_conditions(S).overall
+    out = realize(S)
+    assert out.verdict is RealizationVerdict.INFEASIBLE
+    assert out.reason == "search exhausted"
+    enum = realize_all(S)
+    assert enum.complete and len(enum) == 0
+    assert not brute_force_square_witnesses(S, stop_at=1)
+
+
+def shared_square(G, k):
+    return duplication_family(G, k).shared_square
+
+
+def relabelled(S, seed):
+    p = Permutation(tuple(random.Random(seed).sample(range(S.n), S.n)))
+    return apply_similarity(S, p)
+
+
+class TestSplitSearch:
+    """Squares whose support splits are searched block by block."""
+
+    def test_two_pentagons(self):
+        # C5 ⊔ C5 itself, or the pentagons' two sides joined by a C10
+        # (ten ways)
+        enum = realize_all(sq(disjoint_union(cycle(5), cycle(5))))
+        assert enum.complete and len(enum) == 11
+
+    def test_c5_k2_witnesses_and_classes(self):
+        enum = realize_all(shared_square(cycle(5), 2))
+        assert enum.complete and len(enum) == 361
+        assert len({w.edges for w in enum}) == 361
+        reps = []
+        for w in enum:
+            if all(are_isomorphic(w, r) is None for r in reps):
+                reps.append(w)
+        assert len(reps) == 3
+
+    def test_relabelled_petersen_square_realizes(self):
+        S = relabelled(shared_square(PETERSEN, 2), 2)
+        out = realize(S, SearchBudget(max_nodes=100_000))
+        assert out.verdict is RealizationVerdict.REALIZED
+
+    def test_node_budget_is_shared_by_the_blocks(self):
+        budget = SearchBudget(max_nodes=100, max_seconds=None)
+        enum = realize_all(shared_square(cycle(5), 2), budget=budget)
+        assert not enum.complete and enum.nodes_explored == 101
+        out = realize(shared_square(PETERSEN, 2), budget)
+        assert out.verdict is RealizationVerdict.ABORTED
+        assert out.nodes_explored == 101
+
+    def test_abort_keeps_the_witnesses_found_so_far(self):
+        S = relabelled(shared_square(cycle(5), 2), 2)
+        enum = realize_all(S, budget=SearchBudget(max_nodes=1000, max_seconds=None))
+        assert not enum.complete and enum.nodes_explored == 1001
+        assert 0 < len(enum) < 361
+
+    def test_limit_takes_a_prefix_of_the_order(self):
+        S = shared_square(cycle(5), 2)
+        enum = realize_all(S, limit=5)
+        assert enum.complete and len({w.edges for w in enum}) == 5
+        assert list(enum) == list(realize_all(S))[:5]
+
+    def test_isolated_vertices(self):
+        G = disjoint_union(disjoint_union(cycle(5), empty(2)), cycle(3))
+        enum = realize_all(sq(G))
+        assert enum.complete and list(enum) == [G]
+        out = realize(IntMatrix.zeros(4))
+        assert out.witness == empty(4) and out.nodes_explored == 0
+
+    def test_identity_is_every_perfect_matching(self):
+        S = IntMatrix.from_rows([[int(i == j) for j in range(6)] for i in range(6)])
+        enum = realize_all(S)
+        assert enum.complete and len({w.edges for w in enum}) == 15
+
+
 class TestGuarantees:
+    def test_deep_search_keeps_recursion_limit(self):
+        # one support component with 1225 edge positions, every one decided
+        before = sys.getrecursionlimit()
+        out = realize(sq(complete(50)))
+        assert out.verdict is RealizationVerdict.REALIZED
+        assert out.nodes_explored > 1225
+        assert sys.getrecursionlimit() == before
+
     def test_recursion_limit_unchanged(self):
         # 1225 edge positions: deeper than the default recursion limit
         before = sys.getrecursionlimit()
