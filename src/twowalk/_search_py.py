@@ -24,8 +24,8 @@ depth first: the lowest uncovered component is tried alone first, then
 with each partner in index order.  Block searches are memoized on the
 block's matrix, and a set of components found to have no cover is not
 tried again.  The products of a cover are emitted in lexicographic
-order.  An S with one support component and no isolated vertex is
-searched as one block, exactly as before the split.
+order.  An S with one support component and no isolated vertex has
+one cover, its one block, searched in the degree order below.
 
 **Plan.**  Inside a block the vertices are ordered by descending s_ii,
 ties broken by index (a cross block: P's vertices, then Q's), and the
@@ -64,8 +64,15 @@ is not bounded by, and it never changes, the interpreter's recursion
 limit.  The covers are walked on an explicit stack too.
 
 A "node" is one attempted (position, value) assignment, counted before
-its feasibility checks run.  The node cap and the deadline are shared by
-all block searches of one call.
+its feasibility checks run.  The cover walk counts nodes too, so that the
+budgets bound all of its work: one for each block chosen with components
+still left to cover, and one for each witness emitted as a product of
+two or more blocks (a one-block cover's witnesses were counted by its
+search).  The node cap and the deadline are shared by the whole call.
+When the block that completes a cover is stopped by a budget, the
+witnesses it found are emitted with the first witness of each other
+block of the cover, so a stopped search returns a prefix of the
+unbudgeted order.
 """
 
 from __future__ import annotations
@@ -104,7 +111,8 @@ def run_search(
 
     Returns (status, witnesses, nodes) where each witness is a sorted
     edge list in the caller's labels.  A search stopped by a budget
-    returns the witnesses emitted before the stop.
+    returns the witnesses emitted before the stop, a prefix of the
+    unbudgeted order.
     """
     cap = max_nodes if max_nodes > 0 else _NO_CAP
     deadline = time.monotonic() + time_limit if time_limit > 0 else 0.0
@@ -113,15 +121,6 @@ def run_search(
     for v, c in enumerate(label):
         comps[c].append(v)
     blocks = [c for c in comps if len(c) > 1 or s[c[0]][c[0]]]
-    if count == 1 and blocks:
-        # one support component, no isolated vertex: nothing to split
-        order = _degree_order(s, range(n))
-        if order == list(range(n)):
-            return _search(s, _plan(n, 0), cap, deadline, witness_limit)
-        status, witnesses, nodes = _search(
-            _submatrix(s, order), _plan(n, 0), cap, deadline, witness_limit
-        )
-        return status, [sorted(_relabel(w, order)) for w in witnesses], nodes
     return _Covers(s, blocks, cap, deadline, witness_limit).run()
 
 
@@ -130,21 +129,18 @@ def _degree_order(s: list[list[int]], vertices) -> list[int]:
     return sorted(vertices, key=lambda v: -s[v][v])
 
 
-def _submatrix(s: list[list[int]], labels: list[int]) -> list[list[int]]:
-    return [[s[a][b] for b in labels] for a in labels]
-
-
 def _relabel(edges: list[tuple[int, int]], labels: list[int]) -> list[tuple[int, int]]:
-    """Block-local edges in the caller's labels, each as (low, high)."""
+    """Block-local edges in the caller's labels, sorted."""
     out = []
     for i, j in edges:
         a, b = labels[i], labels[j]
         out.append((a, b) if a < b else (b, a))
+    out.sort()
     return out
 
 
 class _Aborted(Exception):
-    """A block search hit the node or time budget."""
+    """The search hit the node or time budget."""
 
     def __init__(self, status: int):
         super().__init__(status)
@@ -152,8 +148,8 @@ class _Aborted(Exception):
 
 
 class _Covers:
-    """Witnesses of an S whose support splits: the depth-first walk over
-    covers of its components (see the module docstring)."""
+    """Witnesses of S: the depth-first walk over covers of its support
+    components (see the module docstring)."""
 
     def __init__(self, s, blocks, cap, deadline, witness_limit):
         self.s = s
@@ -165,6 +161,7 @@ class _Covers:
         self.nodes = 0
         self.by_matrix: dict = {}  # block matrix -> block-local witnesses
         self.by_option: dict = {}  # (c, d) -> witnesses in the caller's labels
+        self.chosen: list[list] = []  # witness lists of the cover being built
         self.witnesses: list[list[tuple[int, int]]] = []
 
     def run(self) -> tuple[int, list[list[tuple[int, int]]], int]:
@@ -175,15 +172,27 @@ class _Covers:
             return stop.status, self.witnesses, self.nodes
         return EXHAUSTED, self.witnesses, self.nodes
 
+    def _tick(self) -> None:
+        """Count one node of the walk itself against the budgets."""
+        self.nodes += 1
+        if self.nodes > self.cap:
+            raise _Aborted(HIT_NODE_BUDGET)
+        if (
+            self.deadline
+            and self.nodes & _TIME_CHECK_MASK == 0
+            and time.monotonic() > self.deadline
+        ):
+            raise _Aborted(HIT_TIME_BUDGET)
+
     def _walk(self, everything: int) -> bool:
         """Emit the products of every cover of ``everything`` (a bitmask
         of block indices); True when the witness limit was reached."""
+        chosen = self.chosen
         if not everything:
-            return self._emit([])
+            return self._emit(chosen)
         dead = set()  # component sets known to have no cover
         # one frame per chosen block: [components left, their options, covered]
         stack = [[everything, self._options(everything), False]]
-        chosen: list[list] = []
         while stack:
             top = stack[-1]
             step = next(top[1], None)
@@ -202,6 +211,7 @@ class _Covers:
                 continue
             chosen.append(witnesses)
             if rest:
+                self._tick()
                 stack.append([rest, self._options(rest), False])
                 continue
             top[2] = True
@@ -218,7 +228,7 @@ class _Covers:
         rest = mask ^ (1 << c)
         t = self.trace[c]
         if t % 2 == 0:
-            witnesses = self._block(c, None)
+            witnesses = self._block(c, None, not rest)
             if witnesses:
                 yield witnesses, rest
         m = rest if t > 0 else 0
@@ -227,20 +237,22 @@ class _Covers:
             m ^= low
             d = low.bit_length() - 1
             if self.trace[d] == t:
-                witnesses = self._block(c, d)
+                witnesses = self._block(c, d, rest == low)
                 if witnesses:
                     yield witnesses, rest ^ low
 
-    def _block(self, c: int, d: int | None) -> list[list[tuple[int, int]]]:
+    def _block(self, c: int, d: int | None, last: bool) -> list[list[tuple[int, int]]]:
         """Witnesses of block c alone (d None) or of the cross block
-        (c, d), searched once per block matrix."""
+        (c, d), searched once per block matrix; ``last`` when the block
+        completes the cover being built."""
         key = (c, d)
         if key in self.by_option:
             return self.by_option[key]
         s = self.s
         side = _degree_order(s, self.blocks[c])
         labels = side + (_degree_order(s, self.blocks[d]) if d is not None else [])
-        local = _submatrix(s, labels)
+        whole = labels == list(range(len(s)))  # S itself, in its own order
+        local = s if whole else [[s[a][b] for b in labels] for a in labels]
         shape = (len(side), len(labels) - len(side))
         matrix = (shape, tuple(map(tuple, local)))
         found = self.by_matrix.get(matrix)
@@ -252,21 +264,39 @@ class _Covers:
             )
             self.nodes += nodes
             if status in (HIT_NODE_BUDGET, HIT_TIME_BUDGET):
+                if last:
+                    self._emit_partial([_relabel(w, labels) for w in found])
                 raise _Aborted(status)
             self.by_matrix[matrix] = found
-        mapped = [_relabel(w, labels) for w in found]
+        mapped = found if whole else [_relabel(w, labels) for w in found]
         self.by_option[key] = mapped
         return mapped
 
     def _emit(self, chosen: list[list]) -> bool:
         """Append the product of the chosen blocks' witness lists; True
-        when the witness limit was reached."""
+        when the witness limit was reached.  Each witness of a product of
+        two or more blocks counts as a node; those of a one-block cover
+        were counted by its search."""
         witnesses = self.witnesses
+        counted = len(chosen) > 1
         for parts in product(*chosen):
+            if counted:
+                self._tick()
             witnesses.append(sorted(chain.from_iterable(parts)))
             if len(witnesses) == self.limit:
                 return True
         return False
+
+    def _emit_partial(self, found: list[list[tuple[int, int]]]) -> None:
+        """The witnesses a budget-stopped last block found before the
+        stop, each with the first witness of every other chosen block:
+        the first products of the cover in its emission order."""
+        first = [w[0] for w in self.chosen]
+        witnesses = self.witnesses
+        for w in found:
+            witnesses.append(sorted(chain(*first, w)))
+            if len(witnesses) == self.limit:
+                return
 
 
 @lru_cache(maxsize=256)

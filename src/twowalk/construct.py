@@ -15,6 +15,7 @@ from .core import (
     IntMatrix,
     Permutation,
     adjacency_matrix,
+    degree_sequence,
     graph_from_edges,
     square,
 )
@@ -103,7 +104,6 @@ def are_isomorphic(
 def _invariants(G: Graph) -> tuple[list[int], list[int]]:
     """Sorted degree sequence and sorted component sizes, from the edges
     alone: a cheap rejection before any matrix is built."""
-    degree = [0] * G.n
     parent = list(range(G.n))
 
     def root(v: int) -> int:
@@ -113,11 +113,9 @@ def _invariants(G: Graph) -> tuple[list[int], list[int]]:
         return v
 
     for i, j in G.edges:
-        degree[i] += 1
-        degree[j] += 1
         parent[root(i)] = root(j)
     sizes = Counter(root(v) for v in range(G.n))
-    return sorted(degree), sorted(sizes.values())
+    return degree_sequence(G), sorted(sizes.values())
 
 
 def permutation_similar(

@@ -2,6 +2,7 @@ import itertools
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -243,7 +244,7 @@ PETERSEN = graph_from_edges(
 @pytest.mark.parametrize(
     "G, first_nodes, all_nodes, all_witnesses",
     [
-        (cycle(6), 6, 82, 7),
+        (cycle(6), 8, 84, 7),
         (PETERSEN, 820, 10732, 11),
         (graph_from_edges(10, sorted(set(PETERSEN.edges) - {(0, 1)})), 183, 5604, 6),
     ],
@@ -252,7 +253,9 @@ PETERSEN = graph_from_edges(
 def test_node_counts_pinned(G, first_nodes, all_nodes, all_witnesses):
     """The search order and node accounting are a contract: these counts
     depend on the exact labelling and must not drift.  C6 is bipartite, so
-    its square splits into two blocks whose triangles are searched once;
+    its square splits into two blocks whose triangles are searched once
+    (the two-triangle cover adds one node for its first block and one for
+    its witness);
     Petersen is regular and connected, so the kernel searches it as one
     block in the identity order; Petersen minus an edge is not regular,
     so its counts pin the degree-descending order."""
@@ -284,6 +287,10 @@ def test_last_vertex_completion_is_checked():
     enum = realize_all(S)
     assert enum.complete and len(enum) == 0
     assert not brute_force_square_witnesses(S, stop_at=1)
+
+
+def identity(n):
+    return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def shared_square(G, k):
@@ -332,6 +339,46 @@ class TestSplitSearch:
         enum = realize_all(S, budget=SearchBudget(max_nodes=1000, max_seconds=None))
         assert not enum.complete and enum.nodes_explored == 1001
         assert 0 < len(enum) < 361
+        assert list(enum) == list(realize_all(S))[: len(enum)]
+
+    def test_stopped_last_block_keeps_its_witnesses(self):
+        # one block plus an isolated vertex: the block's partial list is
+        # emitted, as a prefix of the unbudgeted order
+        S = sq(disjoint_union(PETERSEN, empty(1)))
+        enum = realize_all(S, budget=SearchBudget(max_nodes=5000, max_seconds=None))
+        assert not enum.complete and enum.nodes_explored == 5001
+        assert 0 < len(enum) < 11
+        assert list(enum) == list(realize_all(S))[: len(enum)]
+
+    def test_budgets_bound_the_product_emission(self):
+        # 39!! perfect matchings, each found by a one-node cross search
+        S = identity(40)
+        enum = realize_all(S, budget=SearchBudget(max_nodes=1000, max_seconds=None))
+        assert not enum.complete and enum.nodes_explored == 1001
+        assert 0 < len(enum) < 1000
+        start = time.monotonic()
+        enum = realize_all(S, budget=SearchBudget(max_seconds=0.2))
+        assert not enum.complete and len(enum) > 0
+        # search and re-verification get 0.2 s each
+        assert time.monotonic() - start < 2
+
+    def test_budgets_bound_the_cover_walk(self):
+        # the matchings of the 40 single vertices leave about 2^39 sets of
+        # components for the walk, none of them coverable
+        S = IntMatrix.from_rows(
+            [
+                [int(i == j) for j in range(40)] + [0] * 6
+                for i in range(40)
+            ]
+            + [[0] * 40 + row for row in LAST_VERTEX_INFEASIBLE.to_lists()]
+        )
+        out = realize(S, SearchBudget(max_nodes=10_000, max_seconds=None))
+        assert out.verdict is RealizationVerdict.ABORTED
+        assert out.nodes_explored == 10_001
+        start = time.monotonic()
+        out = realize(S, SearchBudget(max_seconds=0.2))
+        assert out.verdict is RealizationVerdict.ABORTED
+        assert time.monotonic() - start < 2
 
     def test_limit_takes_a_prefix_of_the_order(self):
         S = shared_square(cycle(5), 2)
@@ -347,25 +394,17 @@ class TestSplitSearch:
         assert out.witness == empty(4) and out.nodes_explored == 0
 
     def test_identity_is_every_perfect_matching(self):
-        S = IntMatrix.from_rows([[int(i == j) for j in range(6)] for i in range(6)])
-        enum = realize_all(S)
+        enum = realize_all(identity(6))
         assert enum.complete and len({w.edges for w in enum}) == 15
 
 
 class TestGuarantees:
-    def test_deep_search_keeps_recursion_limit(self):
-        # one support component with 1225 edge positions, every one decided
+    def test_recursion_limit_unchanged(self):
+        # 1225 edge positions: deeper than the default recursion limit
         before = sys.getrecursionlimit()
         out = realize(sq(complete(50)))
         assert out.verdict is RealizationVerdict.REALIZED
         assert out.nodes_explored > 1225
-        assert sys.getrecursionlimit() == before
-
-    def test_recursion_limit_unchanged(self):
-        # 1225 edge positions: deeper than the default recursion limit
-        before = sys.getrecursionlimit()
-        out = realize(IntMatrix.zeros(50))
-        assert out.verdict is RealizationVerdict.REALIZED
         assert sys.getrecursionlimit() == before
 
     def test_witness_check_survives_optimize_flag(self):
