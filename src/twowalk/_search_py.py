@@ -20,11 +20,17 @@ edge count, must be even) and a *cross* realization of each matched
 pair (P, Q) on the P × Q vertex pairs only (the two traces must be equal
 and positive).  Distinct covers give disjoint witness sets, and a cover
 gives the product of its blocks' witness sets.  Covers are generated
-depth first: the lowest uncovered component is tried alone first, then
-with each partner in index order.  Block searches are memoized on the
-block's matrix, and a set of components found to have no cover is not
-tried again.  The products of a cover are emitted in lexicographic
-order.  An S with one support component and no isolated vertex has
+depth first: the lowest uncovered component is tried with each partner
+in index order first, then alone.  So the covers with the most cross
+blocks come first: the square of a connected bipartite graph yields its
+cross realizations before any realization of its sides apart, and on
+the square of 2k copies of C3 or C5 the witnesses made of k double
+covers, the most numerous isomorphism class (300 of the 361 for 4 × C5),
+come first, so a filter that compares each witness with the class
+representatives found so far mostly matches on its first comparison.
+Block searches are memoized on the block's matrix, and a set of
+components found to have no cover is not tried again.  The products of
+a cover are emitted in lexicographic order.  An S with one support component and no isolated vertex has
 one cover, its one block, searched in the degree order below.
 
 **Plan.**  Inside a block the vertices are ordered by descending s_ii,
@@ -222,15 +228,11 @@ class _Covers:
 
     def _options(self, mask: int):
         """Nonempty witness lists of the ways to cover the lowest
-        component c of ``mask``, with what is left: c alone, then c with
-        each partner in index order."""
+        component c of ``mask``, with what is left: c with each partner
+        in index order, then c alone."""
         c = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << c)
         t = self.trace[c]
-        if t % 2 == 0:
-            witnesses = self._block(c, None, not rest)
-            if witnesses:
-                yield witnesses, rest
         m = rest if t > 0 else 0
         while m:
             low = m & -m
@@ -240,6 +242,10 @@ class _Covers:
                 witnesses = self._block(c, d, rest == low)
                 if witnesses:
                     yield witnesses, rest ^ low
+        if t % 2 == 0:
+            witnesses = self._block(c, None, not rest)
+            if witnesses:
+                yield witnesses, rest
 
     def _block(self, c: int, d: int | None, last: bool) -> list[list[tuple[int, int]]]:
         """Witnesses of block c alone (d None) or of the cross block

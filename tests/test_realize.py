@@ -244,7 +244,7 @@ PETERSEN = graph_from_edges(
 @pytest.mark.parametrize(
     "G, first_nodes, all_nodes, all_witnesses",
     [
-        (cycle(6), 8, 84, 7),
+        (cycle(6), 15, 84, 7),
         (PETERSEN, 820, 10732, 11),
         (graph_from_edges(10, sorted(set(PETERSEN.edges) - {(0, 1)})), 183, 5604, 6),
     ],
@@ -253,9 +253,10 @@ PETERSEN = graph_from_edges(
 def test_node_counts_pinned(G, first_nodes, all_nodes, all_witnesses):
     """The search order and node accounting are a contract: these counts
     depend on the exact labelling and must not drift.  C6 is bipartite, so
-    its square splits into two blocks whose triangles are searched once
-    (the two-triangle cover adds one node for its first block and one for
-    its witness);
+    its square splits into two blocks: their cross block is searched
+    first (15 nodes to C6 itself), then their triangles once each (the
+    two-triangle cover adds one node for its first block and one for its
+    witness);
     Petersen is regular and connected, so the kernel searches it as one
     block in the identity order; Petersen minus an edge is not regular,
     so its counts pin the degree-descending order."""
