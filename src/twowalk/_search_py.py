@@ -28,10 +28,13 @@ the square of 2k copies of C3 or C5 the witnesses made of k double
 covers, the most numerous isomorphism class (300 of the 361 for 4 × C5),
 come first, so a filter that compares each witness with the class
 representatives found so far mostly matches on its first comparison.
-Block searches are memoized on the block's matrix, and a set of
-components found to have no cover is not tried again.  The products of
-a cover are emitted in lexicographic order.  An S with one support component and no isolated vertex has
-one cover, its one block, searched in the degree order below.
+Block searches are memoized on the block's matrix.  When the lowest
+uncovered component has no witness alone and no other block of S has
+its trace (or that trace is 0), no cover contains it, so S has no
+witness and the walk stops as exhausted.  The products of a cover are
+emitted in lexicographic order.  An S with one support component and no
+isolated vertex has one cover, its one block, searched in the degree
+order below.
 
 **Plan.**  Inside a block the vertices are ordered by descending s_ii,
 ties broken by index (a cross block: P's vertices, then Q's), and the
@@ -98,7 +101,6 @@ HIT_TIME_BUDGET = 2
 HIT_WITNESS_LIMIT = 3
 
 _TIME_CHECK_MASK = 0x3FF  # consult the clock every 1024 nodes
-_NO_CAP = 1 << 62  # node cap standing for "unlimited"
 
 
 def run_search(
@@ -111,7 +113,7 @@ def run_search(
     """Enumerate graphs whose adjacency square equals ``s``.
 
     ``s`` must already be validated: symmetric, nonnegative, s_ii <= n-1
-    and s_ij <= min(s_ii, s_jj).  ``max_nodes`` <= 0 means unlimited;
+    and s_ij <= min(s_ii, s_jj).  ``max_nodes`` is positive;
     ``time_limit`` <= 0 means no deadline; ``witness_limit`` <= 0 means
     enumerate everything.
 
@@ -120,33 +122,28 @@ def run_search(
     returns the witnesses emitted before the stop, a prefix of the
     unbudgeted order.
     """
-    cap = max_nodes if max_nodes > 0 else _NO_CAP
     deadline = time.monotonic() + time_limit if time_limit > 0 else 0.0
     label, count = _component_labels(s)
     comps: list[list[int]] = [[] for _ in range(count)]
     for v, c in enumerate(label):
         comps[c].append(v)
-    blocks = [c for c in comps if len(c) > 1 or s[c[0]][c[0]]]
-    return _Covers(s, blocks, cap, deadline, witness_limit).run()
-
-
-def _degree_order(s: list[list[int]], vertices) -> list[int]:
-    # sorted() is stable, so equal diagonals keep their index order
-    return sorted(vertices, key=lambda v: -s[v][v])
+    # each block in the degree order; sorted() is stable, so equal
+    # diagonals keep their index order
+    blocks = [sorted(c, key=lambda v: -s[v][v]) for c in comps if len(c) > 1 or s[c[0]][c[0]]]
+    return _Covers(s, blocks, max_nodes, deadline, witness_limit).run()
 
 
 def _relabel(edges: list[tuple[int, int]], labels: list[int]) -> list[tuple[int, int]]:
-    """Block-local edges in the caller's labels, sorted."""
+    """Block-local edges in the caller's labels, each pair ordered."""
     out = []
     for i, j in edges:
         a, b = labels[i], labels[j]
         out.append((a, b) if a < b else (b, a))
-    out.sort()
     return out
 
 
-class _Aborted(Exception):
-    """The search hit the node or time budget."""
+class _Stopped(Exception):
+    """The walk ended early: a budget ran out, or a component has no cover."""
 
     def __init__(self, status: int):
         super().__init__(status)
@@ -165,71 +162,61 @@ class _Covers:
         self.deadline = deadline
         self.limit = witness_limit
         self.nodes = 0
-        self.by_matrix: dict = {}  # block matrix -> block-local witnesses
-        self.by_option: dict = {}  # (c, d) -> witnesses in the caller's labels
+        self.memo: dict = {}  # block matrix -> block-local witnesses
         self.chosen: list[list] = []  # witness lists of the cover being built
         self.witnesses: list[list[tuple[int, int]]] = []
 
     def run(self) -> tuple[int, list[list[tuple[int, int]]], int]:
         try:
-            if self._walk((1 << len(self.blocks)) - 1):
-                return HIT_WITNESS_LIMIT, self.witnesses, self.nodes
-        except _Aborted as stop:
-            return stop.status, self.witnesses, self.nodes
-        return EXHAUSTED, self.witnesses, self.nodes
+            status = HIT_WITNESS_LIMIT if self._walk() else EXHAUSTED
+        except _Stopped as stop:
+            status = stop.status
+        return status, self.witnesses, self.nodes
 
     def _tick(self) -> None:
         """Count one node of the walk itself against the budgets."""
         self.nodes += 1
         if self.nodes > self.cap:
-            raise _Aborted(HIT_NODE_BUDGET)
+            raise _Stopped(HIT_NODE_BUDGET)
         if (
             self.deadline
             and self.nodes & _TIME_CHECK_MASK == 0
             and time.monotonic() > self.deadline
         ):
-            raise _Aborted(HIT_TIME_BUDGET)
+            raise _Stopped(HIT_TIME_BUDGET)
 
-    def _walk(self, everything: int) -> bool:
-        """Emit the products of every cover of ``everything`` (a bitmask
-        of block indices); True when the witness limit was reached."""
+    def _walk(self) -> bool:
+        """Emit the products of every cover of all the blocks; True when
+        the witness limit was reached."""
         chosen = self.chosen
-        if not everything:
-            return self._emit(chosen)
-        dead = set()  # component sets known to have no cover
-        # one frame per chosen block: [components left, their options, covered]
-        stack = [[everything, self._options(everything), False]]
+        if not self.blocks:
+            return self._emit(chosen, False)
+        # one generator of options per chosen block, and one for the next
+        stack = [self._options((1 << len(self.blocks)) - 1)]
         while stack:
-            top = stack[-1]
-            step = next(top[1], None)
+            step = next(stack[-1], None)
             if step is None:
                 stack.pop()
-                if not stack:
-                    break
-                chosen.pop()
-                if top[2]:
-                    stack[-1][2] = True
-                else:
-                    dead.add(top[0])
+                if stack:
+                    chosen.pop()
                 continue
             witnesses, rest = step
-            if rest in dead:
-                continue
             chosen.append(witnesses)
             if rest:
                 self._tick()
-                stack.append([rest, self._options(rest), False])
-                continue
-            top[2] = True
-            if self._emit(chosen):
+                stack.append(self._options(rest))
+            elif self._emit(chosen, len(chosen) > 1):
                 return True
-            chosen.pop()
+            else:
+                chosen.pop()
         return False
 
     def _options(self, mask: int):
         """Nonempty witness lists of the ways to cover the lowest
         component c of ``mask``, with what is left: c with each partner
-        in index order, then c alone."""
+        in index order, then c alone.  Stops the walk as exhausted when c
+        has no witness alone and no other block of S has its positive
+        trace: then no cover contains c."""
         c = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << c)
         t = self.trace[c]
@@ -242,49 +229,46 @@ class _Covers:
                 witnesses = self._block(c, d, rest == low)
                 if witnesses:
                     yield witnesses, rest ^ low
-        if t % 2 == 0:
-            witnesses = self._block(c, None, not rest)
-            if witnesses:
-                yield witnesses, rest
+        alone = self._block(c, None, not rest) if t % 2 == 0 else None
+        if alone:
+            yield alone, rest
+        elif t == 0 or self.trace.count(t) == 1:
+            raise _Stopped(EXHAUSTED)
 
     def _block(self, c: int, d: int | None, last: bool) -> list[list[tuple[int, int]]]:
-        """Witnesses of block c alone (d None) or of the cross block
-        (c, d), searched once per block matrix; ``last`` when the block
-        completes the cover being built."""
-        key = (c, d)
-        if key in self.by_option:
-            return self.by_option[key]
+        """Witnesses, in the caller's labels, of block c alone (d None) or
+        of the cross block (c, d), searched once per block matrix; ``last``
+        when the block completes the cover being built."""
         s = self.s
-        side = _degree_order(s, self.blocks[c])
-        labels = side + (_degree_order(s, self.blocks[d]) if d is not None else [])
-        whole = labels == list(range(len(s)))  # S itself, in its own order
-        local = s if whole else [[s[a][b] for b in labels] for a in labels]
+        side = self.blocks[c]
+        labels = side + self.blocks[d] if d is not None else side
+        local = [[s[a][b] for b in labels] for a in labels]
         shape = (len(side), len(labels) - len(side))
         matrix = (shape, tuple(map(tuple, local)))
-        found = self.by_matrix.get(matrix)
+        found = self.memo.get(matrix)
         if found is None:
             if self.deadline and time.monotonic() > self.deadline:
-                raise _Aborted(HIT_TIME_BUDGET)
+                raise _Stopped(HIT_TIME_BUDGET)
             status, found, nodes = _search(
                 local, _plan(*shape), self.cap - self.nodes, self.deadline, self.limit
             )
             self.nodes += nodes
             if status in (HIT_NODE_BUDGET, HIT_TIME_BUDGET):
                 if last:
-                    self._emit_partial([_relabel(w, labels) for w in found])
-                raise _Aborted(status)
-            self.by_matrix[matrix] = found
-        mapped = found if whole else [_relabel(w, labels) for w in found]
-        self.by_option[key] = mapped
-        return mapped
+                    # what it found before the stop, each with the first witness
+                    # of every other chosen block: a prefix of the cover's products
+                    partial = [_relabel(w, labels) for w in found]
+                    self._emit([w[:1] for w in self.chosen] + [partial], False)
+                raise _Stopped(status)
+            self.memo[matrix] = found
+        return [_relabel(w, labels) for w in found]
 
-    def _emit(self, chosen: list[list]) -> bool:
-        """Append the product of the chosen blocks' witness lists; True
-        when the witness limit was reached.  Each witness of a product of
-        two or more blocks counts as a node; those of a one-block cover
-        were counted by its search."""
+    def _emit(self, chosen: list[list], counted: bool) -> bool:
+        """Append the product of the chosen witness lists; True when the
+        witness limit was reached.  ``counted``: each witness counts as a
+        node (those of a product of two or more blocks; a one-block
+        cover's witnesses were counted by its search)."""
         witnesses = self.witnesses
-        counted = len(chosen) > 1
         for parts in product(*chosen):
             if counted:
                 self._tick()
@@ -292,17 +276,6 @@ class _Covers:
             if len(witnesses) == self.limit:
                 return True
         return False
-
-    def _emit_partial(self, found: list[list[tuple[int, int]]]) -> None:
-        """The witnesses a budget-stopped last block found before the
-        stop, each with the first witness of every other chosen block:
-        the first products of the cover in its emission order."""
-        first = [w[0] for w in self.chosen]
-        witnesses = self.witnesses
-        for w in found:
-            witnesses.append(sorted(chain(*first, w)))
-            if len(witnesses) == self.limit:
-                return
 
 
 @lru_cache(maxsize=256)
@@ -365,11 +338,9 @@ def _search(
     witnesses: list[list[tuple[int, int]]] = []
     nodes = 0
 
-    # a block without vertex pairs admits only the empty graph, and only
-    # when S demands no edges of it
+    # a block without vertex pairs is one vertex with s_vv > 0 (an
+    # isolated vertex is no block): it has no witness
     if npos == 0:
-        if all(sum(row) == 0 for row in s):
-            witnesses.append([])
         return EXHAUSTED, witnesses, 0
 
     # explicit stack: the next value to try at each position, and whether

@@ -28,6 +28,8 @@ from .construct import (
 )
 from .core import Graph, IntMatrix, adjacency_matrix, square
 from .formats import (
+    GRAPH_FORMATS,
+    MATRIX_FORMATS,
     FormatError,
     graph_json_dict,
     read_graph,
@@ -55,14 +57,14 @@ def _read_input(path: str) -> str:
 
 def _load_graph(path: str, fmt: str) -> Graph:
     text = _read_input(path)
-    if fmt in ("matrix-json", "matrix-text"):
+    if fmt in MATRIX_FORMATS:
         raise FormatError(f"{fmt} is a matrix format; this command expects a graph")
     return read_graph(text, fmt)
 
 
 def _load_matrix(path: str, fmt: str) -> IntMatrix:
     text = _read_input(path)
-    if fmt in ("graph6", "edgelist"):
+    if fmt in GRAPH_FORMATS:
         raise FormatError(f"{fmt} is a graph format; this command expects a matrix")
     return read_matrix(text, fmt, filename=None if path == "-" else path)
 
@@ -192,68 +194,60 @@ def cmd_family(args) -> int:
     return EXIT_OK
 
 
-def cmd_double_cover(args) -> int:
-    G = _load_graph(args.input, args.format)
-    H = bipartite_double_cover(G)
+def _emit_graph(G: Graph, args) -> int:
     if args.json:
-        _emit(json.dumps(graph_json_dict(H)) + "\n", args.out)
+        _emit(json.dumps(graph_json_dict(G)) + "\n", args.out)
     else:
-        _emit(write_graph(H, "graph6"), args.out)
+        _emit(write_graph(G, "graph6"), args.out)
     return EXIT_OK
+
+
+def cmd_double_cover(args) -> int:
+    return _emit_graph(bipartite_double_cover(_load_graph(args.input, args.format)), args)
 
 
 def cmd_union(args) -> int:
     G = _load_graph(args.input, args.format)
     H = _load_graph(args.input2, args.format)
-    U = disjoint_union(G, H)
+    return _emit_graph(disjoint_union(G, H), args)
+
+
+def _emit_permutation(p, args, answer: str, negative: str) -> int:
+    """The permutation ``p`` that answers yes (``answer``: the JSON key
+    and the text prefix), or the ``negative`` line when ``p`` is None."""
     if args.json:
-        _emit(json.dumps(graph_json_dict(U)) + "\n", args.out)
+        doc = {
+            answer: p is not None,
+            "permutation": None if p is None else list(p.mapping),
+            "cycles": None if p is None else p.cycle_string(),
+        }
+        _emit(json.dumps(doc) + "\n", args.out)
+    elif p is None:
+        _emit(f"{negative}\n", args.out)
     else:
-        _emit(write_graph(U, "graph6"), args.out)
-    return EXIT_OK
+        _emit(f"{answer}: {p.cycle_string()} {list(p.mapping)}\n", args.out)
+    return EXIT_OK if p is not None else EXIT_NEGATIVE
 
 
 def cmd_iso(args) -> int:
     G = _load_graph(args.input, args.format)
     H = _load_graph(args.input2, args.format)
     p = are_isomorphic(G, H, budget=_budget(IsoBudget, args))
-    if args.json:
-        doc = {
-            "isomorphic": p is not None,
-            "permutation": None if p is None else list(p.mapping),
-            "cycles": None if p is None else p.cycle_string(),
-        }
-        _emit(json.dumps(doc) + "\n", args.out)
-    elif p is None:
-        _emit("not isomorphic\n", args.out)
-    else:
-        _emit(f"isomorphic: {p.cycle_string()} {list(p.mapping)}\n", args.out)
-    return EXIT_OK if p is not None else EXIT_NEGATIVE
+    return _emit_permutation(p, args, "isomorphic", "not isomorphic")
 
 
 def cmd_similar(args) -> int:
     S1 = _load_matrix(args.input, args.format)
     S2 = _load_matrix(args.input2, args.format)
     p = permutation_similar(S1, S2, budget=_budget(IsoBudget, args))
-    if args.json:
-        doc = {
-            "similar": p is not None,
-            "permutation": None if p is None else list(p.mapping),
-            "cycles": None if p is None else p.cycle_string(),
-        }
-        _emit(json.dumps(doc) + "\n", args.out)
-    elif p is None:
-        _emit("not permutation-similar\n", args.out)
-    else:
-        _emit(f"similar: {p.cycle_string()} {list(p.mapping)}\n", args.out)
-    return EXIT_OK if p is not None else EXIT_NEGATIVE
+    return _emit_permutation(p, args, "similar", "not permutation-similar")
 
 
-def _add_common(sub, *, second_input=False, matrix=False):
+def _add_common(sub, *, second_input=False):
     sub.add_argument("input", help="input file, or - for stdin")
     if second_input:
         sub.add_argument("input2", help="second input file, or - for stdin")
-    choices = ["auto", "graph6", "edgelist", "matrix-json", "matrix-text"]
+    choices = ["auto", *GRAPH_FORMATS, *MATRIX_FORMATS]
     sub.add_argument("--format", default="auto", choices=choices,
                      help="input format (default: auto-detect)")
     sub.add_argument("--out", default=None, help="write output to this path")

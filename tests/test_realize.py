@@ -23,6 +23,7 @@ from twowalk import (
     square,
     verify,
 )
+from twowalk import _search_py
 from conftest import all_graphs, brute_force_square_witnesses, complete, cycle, empty, random_graph
 
 INFEASIBLE_4X4 = IntMatrix.from_rows([[2, 1, 1, 0], [1, 2, 1, 1], [1, 1, 1, 0], [0, 1, 0, 1]])
@@ -294,6 +295,15 @@ def identity(n):
     return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
+def block_diagonal(*blocks):
+    n = sum(b.n for b in blocks)
+    rows = []
+    for b in blocks:
+        at = len(rows)
+        rows += [[0] * at + row + [0] * (n - at - b.n) for row in b.to_lists()]
+    return IntMatrix.from_rows(rows)
+
+
 def shared_square(G, k):
     return duplication_family(G, k).shared_square
 
@@ -363,16 +373,26 @@ class TestSplitSearch:
         # search and re-verification get 0.2 s each
         assert time.monotonic() - start < 2
 
+    def test_component_without_any_cover_is_infeasible(self):
+        # the last block has no witness alone and no other block has its
+        # trace, so no cover contains it: the walk stops there instead of
+        # visiting the sets of components the single vertices' matchings
+        # leave
+        S = block_diagonal(identity(40), LAST_VERTEX_INFEASIBLE)
+        assert necessary_conditions(S).overall
+        out = realize(S)
+        assert out.verdict is RealizationVerdict.INFEASIBLE
+        assert out.reason == "search exhausted"
+        assert out.nodes_explored == 112
+        enum = realize_all(S)
+        assert enum.complete and len(enum) == 0
+
     def test_budgets_bound_the_cover_walk(self):
-        # the matchings of the 40 single vertices leave about 2^39 sets of
-        # components for the walk, none of them coverable
-        S = IntMatrix.from_rows(
-            [
-                [int(i == j) for j in range(40)] + [0] * 6
-                for i in range(40)
-            ]
-            + [[0] * 40 + row for row in LAST_VERTEX_INFEASIBLE.to_lists()]
-        )
+        # a last vertex of the same trace as the infeasible block is its
+        # only partner, so no cover contains the block, but the walk still
+        # visits about 2^39 sets of components, none of them coverable
+        S = block_diagonal(identity(40), LAST_VERTEX_INFEASIBLE, IntMatrix.from_rows([[16]]))
+        assert necessary_conditions(S).overall
         out = realize(S, SearchBudget(max_nodes=10_000, max_seconds=None))
         assert out.verdict is RealizationVerdict.ABORTED
         assert out.nodes_explored == 10_001
@@ -397,6 +417,32 @@ class TestSplitSearch:
     def test_identity_is_every_perfect_matching(self):
         enum = realize_all(identity(6))
         assert enum.complete and len({w.edges for w in enum}) == 15
+
+
+@pytest.mark.parametrize("cap", [30, 1_000_000], ids=["stopping", "unbounded"])
+@pytest.mark.parametrize(
+    "S",
+    [
+        sq(cycle(6)),
+        relabelled(shared_square(cycle(5), 2), 2),
+        LAST_VERTEX_INFEASIBLE,
+        identity(6),
+    ],
+    ids=["c6", "c5_k2_relabelled", "last_vertex_infeasible", "identity6"],
+)
+def test_kernel_call_replays_realize(S, cap):
+    # a step-by-step replay of realize and realize_all calls the kernel
+    # on its own and must see their witnesses and node counts
+    budget = SearchBudget(max_nodes=cap, max_seconds=None)
+    out = realize(S, budget)
+    _, raw, nodes = _search_py.run_search(S.n, S.to_lists(), cap, 0.0, 1)
+    mine = [] if out.witness is None else [out.witness.sorted_edges()]
+    assert (raw, nodes) == (mine, out.nodes_explored)
+    enum = realize_all(S, budget=budget)
+    status, raw, nodes = _search_py.run_search(S.n, S.to_lists(), cap, 0.0, 0)
+    assert raw == [w.sorted_edges() for w in enum]
+    assert nodes == enum.nodes_explored
+    assert enum.complete == (status == _search_py.EXHAUSTED)
 
 
 class TestGuarantees:
