@@ -28,13 +28,14 @@ the square of 2k copies of C3 or C5 the witnesses made of k double
 covers, the most numerous isomorphism class (300 of the 361 for 4 × C5),
 come first, so a filter that compares each witness with the class
 representatives found so far mostly matches on its first comparison.
-Block searches are memoized on the block's matrix.  When the lowest
+Block searches are memoized on the block's matrix, and a set of
+components found to have no cover is walked once, not once for each
+matching of the components covered before it.  When the lowest
 uncovered component has no witness alone and no other block of S has
-its trace (or that trace is 0), no cover contains it, so S has no
-witness and the walk stops as exhausted.  The products of a cover are
-emitted in lexicographic order.  An S with one support component and no
-isolated vertex has one cover, its one block, searched in the degree
-order below.
+its trace, no cover contains it, so S has no witness and the walk stops
+as exhausted.  The products of a cover are emitted in lexicographic
+order.  An S with one support component and no isolated vertex has one
+cover, its one block, searched in the degree order below.
 
 **Plan.**  Inside a block the vertices are ordered by descending s_ii,
 ties broken by index (a cross block: P's vertices, then Q's), and the
@@ -67,10 +68,10 @@ completion of the later one, and pairs across a cross block have no
 common neighbor within it, so a full assignment that survives the
 completion events has the block's square equal to S on the block.
 
-The search runs on an explicit stack (one value cursor and one
-"edge applied" flag per position) rather than by recursion, so its depth
-is not bounded by, and it never changes, the interpreter's recursion
-limit.  The covers are walked on an explicit stack too.
+The block search (one value cursor and one "edge applied" flag per
+position) and the cover walk run on explicit stacks rather than by
+recursion, so their depth is not bounded by, and they never change, the
+interpreter's recursion limit.
 
 A "node" is one attempted (position, value) assignment, counted before
 its feasibility checks run.  The cover walk counts nodes too, so that the
@@ -143,11 +144,8 @@ def _relabel(edges: list[tuple[int, int]], labels: list[int]) -> list[tuple[int,
 
 
 class _Stopped(Exception):
-    """The walk ended early: a budget ran out, or a component has no cover."""
-
-    def __init__(self, status: int):
-        super().__init__(status)
-        self.status = status
+    """The walk ended early, with the status in ``args[0]``: a budget ran
+    out, or a component has no cover."""
 
 
 class _Covers:
@@ -163,6 +161,7 @@ class _Covers:
         self.limit = witness_limit
         self.nodes = 0
         self.memo: dict = {}  # block matrix -> block-local witnesses
+        self.dead: set[int] = set()  # sets of components without a cover
         self.chosen: list[list] = []  # witness lists of the cover being built
         self.witnesses: list[list[tuple[int, int]]] = []
 
@@ -170,7 +169,7 @@ class _Covers:
         try:
             status = HIT_WITNESS_LIMIT if self._walk() else EXHAUSTED
         except _Stopped as stop:
-            status = stop.status
+            status = stop.args[0]
         return status, self.witnesses, self.nodes
 
     def _tick(self) -> None:
@@ -191,12 +190,16 @@ class _Covers:
         chosen = self.chosen
         if not self.blocks:
             return self._emit(chosen, False)
-        # one generator of options per chosen block, and one for the next
-        stack = [self._options((1 << len(self.blocks)) - 1)]
+        # frames: (components left, their options, witnesses emitted before)
+        everything = (1 << len(self.blocks)) - 1
+        stack = [(everything, self._options(everything), 0)]
         while stack:
-            step = next(stack[-1], None)
+            mask, options, before = stack[-1]
+            step = next(options, None)
             if step is None:
                 stack.pop()
+                if len(self.witnesses) == before:
+                    self.dead.add(mask)
                 if stack:
                     chosen.pop()
                 continue
@@ -204,7 +207,7 @@ class _Covers:
             chosen.append(witnesses)
             if rest:
                 self._tick()
-                stack.append(self._options(rest))
+                stack.append((rest, self._options(rest), len(self.witnesses)))
             elif self._emit(chosen, len(chosen) > 1):
                 return True
             else:
@@ -214,25 +217,27 @@ class _Covers:
     def _options(self, mask: int):
         """Nonempty witness lists of the ways to cover the lowest
         component c of ``mask``, with what is left: c with each partner
-        in index order, then c alone.  Stops the walk as exhausted when c
-        has no witness alone and no other block of S has its positive
-        trace: then no cover contains c."""
+        in index order, then c alone, but none that leaves a set known to
+        have no cover (a cross block is then not searched).  Stops the
+        walk as exhausted when c has no witness alone and no other block
+        of S has its trace: then no cover contains c."""
         c = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << c)
         t = self.trace[c]
-        m = rest if t > 0 else 0
+        m = rest
         while m:
             low = m & -m
             m ^= low
             d = low.bit_length() - 1
-            if self.trace[d] == t:
+            if self.trace[d] == t and rest ^ low not in self.dead:
                 witnesses = self._block(c, d, rest == low)
                 if witnesses:
                     yield witnesses, rest ^ low
         alone = self._block(c, None, not rest) if t % 2 == 0 else None
         if alone:
-            yield alone, rest
-        elif t == 0 or self.trace.count(t) == 1:
+            if rest not in self.dead:
+                yield alone, rest
+        elif self.trace.count(t) == 1:
             raise _Stopped(EXHAUSTED)
 
     def _block(self, c: int, d: int | None, last: bool) -> list[list[tuple[int, int]]]:

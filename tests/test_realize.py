@@ -387,10 +387,22 @@ class TestSplitSearch:
         enum = realize_all(S)
         assert enum.complete and len(enum) == 0
 
-    def test_budgets_bound_the_cover_walk(self):
+    def test_dead_set_is_walked_once(self):
         # a last vertex of the same trace as the infeasible block is its
-        # only partner, so no cover contains the block, but the walk still
-        # visits about 2^39 sets of components, none of them coverable
+        # only partner, so no cover contains the block; each set of
+        # components the single vertices' matchings leave is walked once,
+        # not once for each of the 15!! matchings
+        S = block_diagonal(identity(16), LAST_VERTEX_INFEASIBLE, IntMatrix.from_rows([[16]]))
+        assert necessary_conditions(S).overall
+        out = realize(S)
+        assert out.verdict is RealizationVerdict.INFEASIBLE
+        assert out.reason == "search exhausted"
+        assert out.nodes_explored == 1690
+
+    def test_budgets_bound_the_cover_walk(self):
+        # as above with 40 single vertices: the sets walked still grow
+        # exponentially with their number (1,690 nodes for 16, 75,118 for
+        # 24), so only the budgets end the walk
         S = block_diagonal(identity(40), LAST_VERTEX_INFEASIBLE, IntMatrix.from_rows([[16]]))
         assert necessary_conditions(S).overall
         out = realize(S, SearchBudget(max_nodes=10_000, max_seconds=None))
