@@ -31,11 +31,12 @@ representatives found so far mostly matches on its first comparison.
 Block searches are memoized on the block's matrix, and a set of
 components found to have no cover is walked once, not once for each
 matching of the components covered before it.  When the lowest
-uncovered component has no witness alone and no other block of S has
-its trace, no cover contains it, so S has no witness and the walk stops
-as exhausted.  The products of a cover are emitted in lexicographic
-order.  An S with one support component and no isolated vertex has one
-cover, its one block, searched in the degree order below.
+uncovered component has no witness alone, nor with any other block of
+S of its trace (each still uncovered and searched with it), no cover
+contains it, so S has no witness and the walk stops as exhausted.  The
+products of a cover are emitted in lexicographic order.  An S with one
+support component and no isolated vertex has one cover, its one block,
+searched in the degree order below.
 
 **Plan.**  Inside a block the vertices are ordered by descending s_ii,
 ties broken by index (a cross block: P's vertices, then Q's), and the
@@ -219,11 +220,13 @@ class _Covers:
         component c of ``mask``, with what is left: c with each partner
         in index order, then c alone, but none that leaves a set known to
         have no cover (a cross block is then not searched).  Stops the
-        walk as exhausted when c has no witness alone and no other block
-        of S has its trace: then no cover contains c."""
+        walk as exhausted when c has no witness alone and every other
+        block of S with its trace is still uncovered, searched with c
+        here and without a witness: then no cover contains c."""
         c = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << c)
         t = self.trace[c]
+        empty = 0  # partners searched here whose cross block has no witness
         m = rest
         while m:
             low = m & -m
@@ -233,11 +236,13 @@ class _Covers:
                 witnesses = self._block(c, d, rest == low)
                 if witnesses:
                     yield witnesses, rest ^ low
+                else:
+                    empty += 1
         alone = self._block(c, None, not rest) if t % 2 == 0 else None
         if alone:
             if rest not in self.dead:
                 yield alone, rest
-        elif self.trace.count(t) == 1:
+        elif empty == self.trace.count(t) - 1:
             raise _Stopped(EXHAUSTED)
 
     def _block(self, c: int, d: int | None, last: bool) -> list[list[tuple[int, int]]]:

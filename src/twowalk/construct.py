@@ -19,6 +19,7 @@ from .core import (
     graph_from_edges,
     square,
 )
+from .formats import graph_json_dict
 from .iso import BudgetExhausted, IsoBudget, find_matrix_mapping
 from .realize import verify
 
@@ -171,8 +172,6 @@ class DuplicationFamily:
                 raise ValueError(f"member {idx} does not square to the shared matrix")
 
     def to_json_dict(self) -> dict:
-        from .formats import graph_json_dict, to_graph6
-
         return {
             "base": graph_json_dict(self.base),
             "k": self.k,

@@ -8,7 +8,6 @@ with every byte offset by 63.
 from __future__ import annotations
 
 import json
-from typing import Sequence
 
 from .core import Graph, IntMatrix, graph_from_edges
 

@@ -3,12 +3,13 @@ graph isomorphism (0/1 matrices) and for permutation similarity of
 candidate squares (entries act as edge colors).
 
 The engine is color refinement followed by backtracking: vertices start
-with colors built from (diagonal entry, support-component size, sorted
-row-weight multiset), colors are refined by iterated neighbor-color
-multisets jointly on both sides, and a depth-first search over the
-refined classes completes the mapping.  Everything is deterministic; no
-heuristic can produce a wrong answer, only a budget abort (raised as
-``BudgetExhausted``, never conflated with "no mapping exists").
+with colors (diagonal entry, support-component size), and colors are
+refined jointly on both sides by iterated multisets of (color, entry)
+over each row's nonzero off-diagonal entries, which are read once; a
+depth-first search over the refined classes completes the mapping.
+Everything is deterministic; no heuristic can produce a wrong answer,
+only a budget abort (raised as ``BudgetExhausted``, never conflated
+with "no mapping exists").
 """
 
 from __future__ import annotations
@@ -34,62 +35,46 @@ class IsoBudget(SearchBudget):
     max_seconds: float | None = None
 
 
-def _support_component_sizes(M: IntMatrix) -> list[int]:
-    """Size of each index's component in the support graph (off-diagonal
-    nonzero pattern); a sound invariant for both iso and similarity."""
-    label, count = _component_labels(M.rows)
-    sizes = [0] * count
-    for c in label:
-        sizes[c] += 1
-    return [sizes[c] for c in label]
+def _nonzero(M: IntMatrix) -> list[list[tuple[int, int]]]:
+    """Each row's nonzero off-diagonal entries, as (index, entry) pairs."""
+    return [[(u, x) for u, x in enumerate(row) if x and u != v] for v, row in enumerate(M.rows)]
 
 
-def _initial_keys(M: IntMatrix) -> list[tuple]:
-    comp_size = _support_component_sizes(M)
-    keys = []
-    for v in range(M.n):
-        row = M.rows[v]
-        weights = tuple(sorted(row[u] for u in range(M.n) if u != v))
-        keys.append((row[v], comp_size[v], weights))
-    return keys
+def _initial_keys(M: IntMatrix) -> list[tuple[int, int]]:
+    """(diagonal entry, size of the support component) of each index."""
+    label, _ = _component_labels(M.rows)
+    size = Counter(label)
+    return [(M.rows[v][v], size[label[v]]) for v in range(M.n)]
 
 
-def _refine(Ma: IntMatrix, Mb: IntMatrix) -> tuple[list[int], list[int]] | None:
-    """Joint color refinement; None when the color histograms separate
-    (no mapping can exist)."""
-    n = Ma.n
-    keys_a = _initial_keys(Ma)
-    keys_b = _initial_keys(Mb)
-    palette = {key: idx for idx, key in enumerate(sorted(set(keys_a) | set(keys_b)))}
-    col_a = [palette[k] for k in keys_a]
-    col_b = [palette[k] for k in keys_b]
+def _signatures(nonzero: list[list[tuple[int, int]]], colors: list[int]) -> list[tuple]:
+    """Each index's color and the multiset of (color, entry) of its row."""
+    return [(colors[v], tuple(sorted((colors[u], x) for u, x in row)))
+            for v, row in enumerate(nonzero)]
 
+
+def _refine(Ma: IntMatrix, Mb: IntMatrix, nonzero: list) -> tuple[list[int], list[int]] | None:
+    """Joint color refinement of Ma and Mb from their ``nonzero`` lists;
+    None when the color histograms separate (no mapping can exist).  The
+    class sizes match on both sides before every round and fix each
+    index's zero entries per class, so this refines as whole rows would."""
+    keys = [_initial_keys(Ma), _initial_keys(Mb)]
+    classes = 0
     while True:
+        palette = {key: idx for idx, key in enumerate(sorted(set(keys[0]) | set(keys[1])))}
+        col_a, col_b = ([palette[k] for k in side] for side in keys)
         if Counter(col_a) != Counter(col_b):
             return None
-        sig_a = [
-            (col_a[v], tuple(sorted((Ma.rows[v][u], col_a[u]) for u in range(n) if u != v)))
-            for v in range(n)
-        ]
-        sig_b = [
-            (col_b[v], tuple(sorted((Mb.rows[v][u], col_b[u]) for u in range(n) if u != v)))
-            for v in range(n)
-        ]
-        palette = {key: idx for idx, key in enumerate(sorted(set(sig_a) | set(sig_b)))}
-        new_a = [palette[s] for s in sig_a]
-        new_b = [palette[s] for s in sig_b]
-        if len(set(new_a)) == len(set(col_a)):
-            if Counter(new_a) != Counter(new_b):
-                return None
-            return new_a, new_b
-        col_a, col_b = new_a, new_b
+        if len(palette) == classes:
+            return col_a, col_b
+        classes = len(palette)
+        keys = [_signatures(nz, col) for nz, col in zip(nonzero, (col_a, col_b))]
 
 
-def _search_order(M: IntMatrix, colors: list[int]) -> list[int]:
+def _search_order(nonzero: list[list[tuple[int, int]]], colors: list[int]) -> list[int]:
     """Deterministic vertex order: most already-ordered support-neighbors
     first, then rarest color, then index."""
-    n = M.n
-    rows = M.rows
+    n = len(colors)
     class_size = Counter(colors)
     ordered: list[int] = []
     placed = [False] * n
@@ -106,9 +91,8 @@ def _search_order(M: IntMatrix, colors: list[int]) -> list[int]:
         assert best is not None
         ordered.append(best)
         placed[best] = True
-        rb = rows[best]
-        for u in range(n):
-            if not placed[u] and u != best and rb[u] != 0:
+        for u, _ in nonzero[best]:
+            if not placed[u]:
                 anchored[u] += 1
     return ordered
 
@@ -127,7 +111,8 @@ def find_matrix_mapping(
         return Permutation.identity(0)
     budget = budget or IsoBudget()
 
-    refined = _refine(Ma, Mb)
+    nonzero = [_nonzero(Ma), _nonzero(Mb)]
+    refined = _refine(Ma, Mb, nonzero)
     if refined is None:
         return None
     col_a, col_b = refined
@@ -136,7 +121,7 @@ def find_matrix_mapping(
     for x in range(n):
         by_color.setdefault(col_b[x], []).append(x)
 
-    order = _search_order(Ma, col_a)
+    order = _search_order(nonzero[0], col_a)
     rows_a = Ma.rows
     rows_b = Mb.rows
     mapping = [-1] * n

@@ -18,6 +18,7 @@ from typing import Iterator
 from . import _search_py
 from .analysis import necessary_conditions
 from .core import Graph, IntMatrix, graph_from_edges
+from .formats import graph_json_dict
 
 
 def search_backend() -> str:
@@ -56,8 +57,6 @@ class RealizationOutcome:
     reason: str | None
 
     def to_json_dict(self) -> dict:
-        from .formats import graph_json_dict
-
         return {
             "verdict": self.verdict.value,
             "witness": None if self.witness is None else graph_json_dict(self.witness),
@@ -91,8 +90,6 @@ class Enumeration:
         return self.witnesses[idx]
 
     def to_json_dict(self) -> dict:
-        from .formats import graph_json_dict
-
         return {
             "witnesses": [graph_json_dict(w) for w in self.witnesses],
             "complete": self.complete,

@@ -1,5 +1,7 @@
 import itertools
+import random
 import sys
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -23,9 +25,11 @@ from twowalk import (
     permute_graph,
     similar_square_pair,
     square,
+    support_components,
     verify,
     verify_bip_copy,
 )
+from twowalk import iso
 from conftest import (
     all_graphs,
     complete,
@@ -259,6 +263,88 @@ class TestPermutationSimilar:
                 edge_match=lambda a, b: a["w"] == b["w"],
             ).is_isomorphic()
             assert (permutation_similar(S1, S2) is not None) == expected
+
+
+def dense_refine(Ma, Mb):
+    """Reference joint color refinement over whole rows: initial colors
+    (diagonal entry, support-component size, sorted row weights), then
+    each round the multiset of (entry, color) over every other index."""
+    def initial(M):
+        label = support_components(M).component_of
+        size = Counter(label)
+        return [(M.entry(v, v), size[label[v]],
+                 tuple(sorted(M.entry(v, u) for u in range(M.n) if u != v)))
+                for v in range(M.n)]
+
+    def signatures(M, col):
+        return [(col[v], tuple(sorted((M.entry(v, u), col[u]) for u in range(M.n) if u != v)))
+                for v in range(M.n)]
+
+    keys_a, keys_b = initial(Ma), initial(Mb)
+    palette = {key: idx for idx, key in enumerate(sorted(set(keys_a) | set(keys_b)))}
+    col_a, col_b = [palette[k] for k in keys_a], [palette[k] for k in keys_b]
+    while True:
+        if Counter(col_a) != Counter(col_b):
+            return None
+        sig_a, sig_b = signatures(Ma, col_a), signatures(Mb, col_b)
+        palette = {key: idx for idx, key in enumerate(sorted(set(sig_a) | set(sig_b)))}
+        new_a, new_b = [palette[s] for s in sig_a], [palette[s] for s in sig_b]
+        if len(set(new_a)) == len(set(col_a)):
+            return None if Counter(new_a) != Counter(new_b) else (new_a, new_b)
+        col_a, col_b = new_a, new_b
+
+
+def joint_partition(colors):
+    """The partition of both sides' indices that a coloring induces, in
+    a canonical form; None stays None."""
+    if colors is None:
+        return None
+    first: dict[int, int] = {}
+    return [first.setdefault(c, len(first)) for c in colors[0] + colors[1]]
+
+
+def relabelled(M, rng):
+    return apply_similarity(M, Permutation(tuple(rng.sample(range(M.n), M.n))))
+
+
+class TestRefinement:
+    """The refinement over nonzero entries splits as the dense one does."""
+
+    @staticmethod
+    def assert_same_partition(Ma, Mb):
+        mine = iso._refine(Ma, Mb, [iso._nonzero(Ma), iso._nonzero(Mb)])
+        assert joint_partition(mine) == joint_partition(dense_refine(Ma, Mb))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_graph_against_a_relabelling(self, n):
+        rng = random.Random(n)
+        for G in all_graphs(n):
+            A = adjacency_matrix(G)
+            self.assert_same_partition(A, relabelled(A, rng))
+
+    def test_component_sizes_split_regular_graphs(self):
+        A = adjacency_matrix(disjoint_union(cycle(3), cycle(4)))
+        self.assert_same_partition(A, relabelled(A, random.Random(7)))
+        assert len(set(iso._refine(A, A, [iso._nonzero(A)] * 2)[0])) == 2
+        B, C = adjacency_matrix(cycle(6)), adjacency_matrix(disjoint_union(cycle(3), cycle(3)))
+        self.assert_same_partition(B, C)
+        assert iso._refine(B, C, [iso._nonzero(B), iso._nonzero(C)]) is None
+
+    def test_random_integer_matrices(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = rng.randint(0, 3)
+                for j in range(i + 1, n):
+                    if rng.random() < 0.5:
+                        rows[i][j] = rows[j][i] = rng.randint(1, 3)
+            M = IntMatrix.from_rows(rows)
+            self.assert_same_partition(M, relabelled(M, rng))
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] = rows[j][i] = (rows[i][j] + 1) % 4
+            self.assert_same_partition(M, relabelled(IntMatrix.from_rows(rows), rng))
 
 
 class TestVerifyBipCopy:

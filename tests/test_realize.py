@@ -387,23 +387,34 @@ class TestSplitSearch:
         enum = realize_all(S)
         assert enum.complete and len(enum) == 0
 
-    def test_dead_set_is_walked_once(self):
-        # a last vertex of the same trace as the infeasible block is its
-        # only partner, so no cover contains the block; each set of
-        # components the single vertices' matchings leave is walked once,
-        # not once for each of the 15!! matchings
-        S = block_diagonal(identity(16), LAST_VERTEX_INFEASIBLE, IntMatrix.from_rows([[16]]))
+    def test_component_without_a_cover_among_equal_traces_is_infeasible(self):
+        # the infeasible block's only partner of equal trace, the last
+        # vertex, gives it no witness either, so no cover contains it
+        S = block_diagonal(identity(40), LAST_VERTEX_INFEASIBLE, IntMatrix.from_rows([[16]]))
         assert necessary_conditions(S).overall
         out = realize(S)
         assert out.verdict is RealizationVerdict.INFEASIBLE
         assert out.reason == "search exhausted"
-        assert out.nodes_explored == 1690
+        assert out.nodes_explored == 114
+        enum = realize_all(S)
+        assert enum.complete and len(enum) == 0
+
+    def test_dead_set_is_walked_once(self):
+        # an odd number of single vertices of trace 1 has no perfect
+        # matching, which only the walk finds; each set of components
+        # the matchings of the first ones leave is walked once (without
+        # the dead set: 1,063,624 nodes)
+        S = block_diagonal(identity(15), IntMatrix.from_rows([[3]]))
+        assert necessary_conditions(S).overall
+        out = realize(S)
+        assert out.verdict is RealizationVerdict.INFEASIBLE
+        assert out.reason == "search exhausted"
+        assert out.nodes_explored == 988
 
     def test_budgets_bound_the_cover_walk(self):
-        # as above with 40 single vertices: the sets walked still grow
-        # exponentially with their number (1,690 nodes for 16, 75,118 for
-        # 24), so only the budgets end the walk
-        S = block_diagonal(identity(40), LAST_VERTEX_INFEASIBLE, IntMatrix.from_rows([[16]]))
+        # as above with 41 single vertices: the sets walked still grow
+        # exponentially with their number, so only the budgets end the walk
+        S = block_diagonal(identity(41), IntMatrix.from_rows([[3]]))
         assert necessary_conditions(S).overall
         out = realize(S, SearchBudget(max_nodes=10_000, max_seconds=None))
         assert out.verdict is RealizationVerdict.ABORTED
