@@ -69,6 +69,26 @@ completion of the later one, and pairs across a cross block have no
 common neighbor within it, so a full assignment that survives the
 completion events has the block's square equal to S on the block.
 
+**Commutation.**  A witness A of a block searched alone commutes with
+the block's matrix S, since A·A² = A²·A; so does A mod p, for the prime
+p = 2³¹ − 1.  If r, Sr, …, S^(n−1)r are independent mod p for a fixed
+vector r (a certificate that S is cyclic over F_p), the matrices that
+commute with S are exactly its polynomials (Horn & Johnson, *Matrix
+Analysis*, §3.2.4), and a zero diagonal leaves the coefficients c with
+Σ c_k (S^k)_ii = 0 for every i.  Let d be the nullity of that n × n
+system.  If d = 0, A ≡ 0, so the block has no witness (S is not zero).
+If d = 1, every witness is a multiple of C = Σ c_k S^k for one spanning
+c, so it has C's nonzero pattern (and C's nonzero entries are equal):
+that graph is the block's one witness if its exact square is S, and
+otherwise there is none.  A block that is not certified cyclic, or has
+d ≥ 2, stays undecided, as does one whose deadline passes between two
+matrix powers.  All of it is exact integer arithmetic mod p.  The test
+costs about n⁴/4 nodes' time on an n-vertex block, so a block searched
+alone runs it once, on its first node past n⁴ // 4, and a decided block
+ends there: on the ski-rental rule this at most about doubles a block's
+time, while a block done sooner never pays for it.  The algebra counts
+no nodes.  Cross blocks do not run it.
+
 The block search (one value cursor and one "edge applied" flag per
 position) and the cover walk run on explicit stacks rather than by
 recursion, so their depth is not bounded by, and they never change, the
@@ -91,6 +111,7 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 from itertools import chain, product
+from operator import mul
 
 from .analysis import _component_labels
 
@@ -103,6 +124,8 @@ HIT_TIME_BUDGET = 2
 HIT_WITNESS_LIMIT = 3
 
 _TIME_CHECK_MASK = 0x3FF  # consult the clock every 1024 nodes
+
+_PRIME = 2**31 - 1  # the commutation test works modulo this prime
 
 
 def run_search(
@@ -259,8 +282,10 @@ class _Covers:
         if found is None:
             if self.deadline and time.monotonic() > self.deadline:
                 raise _Stopped(HIT_TIME_BUDGET)
+            room = self.cap - self.nodes
+            gate = len(side) ** 4 // 4 if d is None else room
             status, found, nodes = _search(
-                local, _plan(*shape), self.cap - self.nodes, self.deadline, self.limit
+                local, _plan(*shape), room, self.deadline, self.limit, gate
             )
             self.nodes += nodes
             if status in (HIT_NODE_BUDGET, HIT_TIME_BUDGET):
@@ -338,10 +363,13 @@ def _search(
     cap: int,
     deadline: float,
     witness_limit: int,
+    gate: int,
 ) -> tuple[int, list[list[tuple[int, int]]], int]:
     """Search one block: decide the positions of ``plan`` on the vertices
     of ``s`` as given.  Witnesses are sorted block-local edge lists;
-    more than ``cap`` nodes aborts."""
+    more than ``cap`` nodes aborts.  Past ``gate`` nodes the commutation
+    test runs once and ends the search when it decides the block; a
+    ``gate`` of ``cap`` or more never runs it."""
     steps, events = plan
     npos = len(steps)
     adj = [0] * len(s)  # neighbor bitmasks
@@ -358,6 +386,7 @@ def _search(
     value = [0] * npos
     applied = [False] * npos
     pos = 0
+    limit = min(gate, cap)
     while True:
         if pos == npos:
             # the plan lists the pairs in sorted order
@@ -385,8 +414,15 @@ def _search(
         value[pos] = v + 1
 
         nodes += 1
-        if nodes > cap:
-            return HIT_NODE_BUDGET, witnesses, nodes
+        if nodes > limit:
+            if nodes > cap:
+                return HIT_NODE_BUDGET, witnesses, nodes
+            limit = cap
+            decided = _commuting_witness(s, deadline)
+            if decided is not None:
+                witnesses += [w for w in decided if w not in witnesses]
+                status = HIT_WITNESS_LIMIT if 0 < witness_limit <= len(witnesses) else EXHAUSTED
+                return status, witnesses, nodes
         if deadline and nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
             return HIT_TIME_BUDGET, witnesses, nodes
 
@@ -447,3 +483,72 @@ def _search(
                             break
         if ok:
             pos += 1
+
+
+def _reduce(rows: list[list[int]]) -> list[int]:
+    """Bring ``rows`` to reduced row echelon form mod ``_PRIME`` in place;
+    returns the pivot column of each nonzero row, in order."""
+    pivots: list[int] = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        at = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if at is None:
+            continue
+        rows[r], rows[at] = rows[at], rows[r]
+        inv = pow(rows[r][c], -1, _PRIME)
+        top = rows[r] = [x * inv % _PRIME for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % _PRIME for x, y in zip(row, top)]
+        pivots.append(c)
+    return pivots
+
+
+def _commuting_witness(s: list[list[int]], deadline: float) -> list[list[tuple[int, int]]] | None:
+    """The commutation test on the matrix ``s`` of a block searched alone
+    (see the module docstring): None when it does not decide the block,
+    else the block's witnesses, none or one, as sorted edge lists."""
+    n = len(s)
+    # cyclicity certificate: a full-rank Krylov basis r, Sr, ..., S^(n-1) r
+    krylov = [[pow(3, v, _PRIME) for v in range(n)]]
+    for _ in range(n - 1):
+        r = krylov[-1]
+        krylov.append([sum(map(mul, row, r)) % _PRIME for row in s])
+    if len(_reduce(krylov)) < n:
+        return None
+    # S^0 .. S^(n-1); S is symmetric, so are its powers, and a row of S
+    # is also its column
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    while len(powers) < n:
+        if deadline and time.monotonic() > deadline:
+            return None
+        powers.append([[sum(map(mul, row, col)) % _PRIME for col in s] for row in powers[-1]])
+    # the coefficients c with sum_k c_k (S^k)_ii = 0 for every i: only
+    # c = 0 (nullity 0), or the multiples of one vector (nullity 1)
+    system = [[power[i][i] for power in powers] for i in range(n)]
+    pivots = _reduce(system)
+    c = [0] * n
+    if len(pivots) == n - 1:
+        free = next(k for k in range(n) if k not in pivots)
+        c[free] = 1
+        for row, k in zip(system, pivots):
+            c[k] = -row[free] % _PRIME
+    elif len(pivots) < n:
+        return None
+    # every witness is a multiple of C = sum_k c_k S^k, so it has C's
+    # nonzero pattern: that graph is the only candidate (an exact square
+    # equal to S also implies that C's nonzero entries are equal)
+    adj = [0] * n
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sum(ck * power[i][j] for ck, power in zip(c, powers)) % _PRIME:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+                edges.append((i, j))
+    for i in range(n):
+        for j in range(i, n):
+            if (adj[i] & adj[j]).bit_count() != s[i][j]:
+                return []
+    return [edges]

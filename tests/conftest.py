@@ -140,6 +140,25 @@ def brute_force_square_witnesses(S: IntMatrix, stop_at: int | None = None) -> li
     return hits
 
 
+def square_witness_table(n: int) -> dict[tuple, list[list[tuple[int, int]]]]:
+    """Every graph on n vertices grouped by its square: maps each such
+    square, as a tuple of row tuples, to the sorted edge lists of all its
+    witnesses.  The same brute force as ``brute_force_square_witnesses``,
+    done once for every n × n matrix; a matrix missing here has no
+    witness."""
+    pairs = list(itertools.combinations(range(n), 2))
+    table: dict[tuple, list[list[tuple[int, int]]]] = {}
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+        adj = [0] * n
+        for a, b in edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        S = tuple(tuple((adj[i] & adj[j]).bit_count() for j in range(n)) for i in range(n))
+        table.setdefault(S, []).append(edges)
+    return table
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260809)

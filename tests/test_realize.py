@@ -21,10 +21,19 @@ from twowalk import (
     realize,
     realize_all,
     square,
+    support_components,
     verify,
 )
 from twowalk import _search_py
-from conftest import all_graphs, brute_force_square_witnesses, complete, cycle, empty, random_graph
+from conftest import (
+    all_graphs,
+    brute_force_square_witnesses,
+    complete,
+    cycle,
+    empty,
+    random_graph,
+    square_witness_table,
+)
 
 INFEASIBLE_4X4 = IntMatrix.from_rows([[2, 1, 1, 0], [1, 2, 1, 1], [1, 1, 1, 0], [0, 1, 0, 1]])
 
@@ -466,6 +475,108 @@ def test_kernel_call_replays_realize(S, cap):
     assert raw == [w.sorted_edges() for w in enum]
     assert nodes == enum.nodes_explored
     assert enum.complete == (status == _search_py.EXHAUSTED)
+
+
+# frozen inputs on which the commutation test decides a block that the
+# search alone does not decide cheaply: the hard suite's G(16, 1/2) draw
+# half16.0 (without the test it aborts at 150,000 nodes) and the screen
+# suite's swapped square sw118 (8,652 nodes to exhaust without it)
+HALF16_EDGES = [
+    (0, 7), (0, 8), (0, 9), (0, 11), (0, 13), (0, 15), (1, 2), (1, 3), (1, 4), (1, 5),
+    (1, 6), (1, 9), (1, 12), (1, 13), (1, 14), (1, 15), (2, 3), (2, 5), (2, 7), (2, 8),
+    (2, 9), (2, 11), (2, 13), (3, 7), (3, 8), (3, 10), (3, 11), (3, 13), (4, 7), (4, 8),
+    (4, 9), (4, 13), (4, 15), (5, 6), (5, 8), (5, 9), (5, 11), (5, 12), (5, 13), (6, 10),
+    (6, 12), (7, 8), (7, 9), (7, 14), (7, 15), (8, 9), (8, 11), (8, 12), (8, 14), (8, 15),
+    (9, 10), (9, 11), (9, 14), (10, 11), (10, 12), (10, 14), (10, 15), (11, 13), (12, 14),
+    (14, 15),
+]
+SW118 = IntMatrix.from_rows([
+    [5, 2, 1, 2, 2, 4, 4, 3, 2],
+    [2, 4, 2, 2, 1, 1, 3, 3, 3],
+    [1, 2, 5, 3, 1, 2, 3, 4, 3],
+    [2, 2, 3, 5, 1, 3, 2, 3, 3],
+    [2, 1, 1, 1, 3, 3, 2, 2, 2],
+    [4, 1, 2, 3, 3, 5, 3, 3, 2],
+    [4, 3, 3, 2, 2, 3, 6, 3, 3],
+    [3, 3, 4, 3, 2, 3, 3, 6, 3],
+    [2, 3, 3, 3, 2, 2, 3, 3, 5],
+])
+HARD_CAP = SearchBudget(max_nodes=150_000)
+
+
+class TestCommutation:
+    def test_matches_brute_force_on_small_blocks(self):
+        """Every distinct support-component block of the squares of all
+        graphs with n <= 6, and a fixed sample of battery-passing
+        one-entry changes of them: the test never reports no witness for
+        a block that has one, and a single candidate is the block's only
+        witness."""
+        tables = {n: square_witness_table(n) for n in range(1, 7)}
+        blocks = set()
+        for n in range(1, 7):
+            for S in tables[n]:
+                for comp in support_components(IntMatrix.from_rows(S)).components():
+                    blocks.add(tuple(tuple(S[a][b] for b in comp) for a in comp))
+        outcomes = {"undecided": 0, "none": 0, "one": 0}
+
+        def check(block):
+            decided = _search_py._commuting_witness([list(row) for row in block], 0.0)
+            if decided is None:
+                outcomes["undecided"] += 1
+                return
+            assert decided == tables[len(block)].get(block, []), block
+            outcomes["one" if decided else "none"] += 1
+
+        for block in blocks:
+            check(block)
+        assert len(blocks) == 23_626 and min(outcomes.values()) > 0
+
+        rng = random.Random(20261019)
+        order = sorted(blocks)
+        changed: set[tuple] = set()
+        while len(changed) < 2_000:
+            rows = [list(row) for row in rng.choice(order)]
+            i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+            rows[i][j] = rows[j][i] = rows[i][j] + rng.choice((-1, 1))
+            block = tuple(map(tuple, rows))
+            if rows[i][j] < 0 or block in blocks or block in changed:
+                continue
+            if necessary_conditions(IntMatrix.from_rows(rows)).overall:
+                changed.add(block)
+                check(block)
+
+    def test_half16_realized_at_the_gate(self):
+        S = sq(graph_from_edges(16, HALF16_EDGES))
+        out = realize(S, HARD_CAP)
+        assert out.verdict is RealizationVerdict.REALIZED
+        assert verify(out.witness, S)
+        # one block searched alone: the test runs on its first node past n^4 // 4
+        assert out.nodes_explored == 16**4 // 4 + 1
+
+    def test_sw118_exhausted_at_the_gate(self):
+        assert necessary_conditions(SW118).overall
+        out = realize(SW118, HARD_CAP)
+        assert out.verdict is RealizationVerdict.INFEASIBLE
+        assert out.reason == "search exhausted"
+        assert out.nodes_explored <= 9**4 // 4 + 1
+
+    def test_deadline_leaves_the_block_undecided(self):
+        s = sq(graph_from_edges(16, HALF16_EDGES)).to_lists()
+        assert _search_py._commuting_witness(s, 0.0) is not None
+        assert _search_py._commuting_witness(s, time.monotonic() - 1.0) is None
+
+    def test_half16_survives_optimize_flag(self):
+        code = (
+            "from twowalk import SearchBudget, adjacency_matrix, graph_from_edges, realize, square, verify\n"
+            "if __debug__:\n"
+            "    raise SystemExit('asserts are enabled')\n"
+            f"S = square(adjacency_matrix(graph_from_edges(16, {HALF16_EDGES!r})))\n"
+            "out = realize(S, SearchBudget(max_nodes=150_000))\n"
+            "print(out.verdict.value, out.nodes_explored, verify(out.witness, S))\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["realized", str(16**4 // 4 + 1), "True"]
 
 
 class TestGuarantees:
