@@ -6,7 +6,7 @@ permutation-similarity front ends used to certify those claims.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 from .core import (
@@ -15,12 +15,11 @@ from .core import (
     IntMatrix,
     Permutation,
     adjacency_matrix,
-    degree_sequence,
     graph_from_edges,
     square,
 )
 from .formats import graph_json_dict
-from .iso import BudgetExhausted, IsoBudget, find_matrix_mapping
+from .iso import BudgetExhausted, IsoBudget, find_graph_mapping, find_matrix_mapping
 from .realize import verify
 
 __all__ = [
@@ -97,26 +96,9 @@ def are_isomorphic(
     Exact backtracking over color-refined vertex classes; raises
     BudgetExhausted rather than guessing on large hard inputs.
     """
-    if G.n != H.n or G.num_edges != H.num_edges or _invariants(G) != _invariants(H):
+    if G.num_edges != H.num_edges:
         return None
-    return find_matrix_mapping(adjacency_matrix(G), adjacency_matrix(H), budget)
-
-
-def _invariants(G: Graph) -> tuple[list[int], list[int]]:
-    """Sorted degree sequence and sorted component sizes, from the edges
-    alone: a cheap rejection before any matrix is built."""
-    parent = list(range(G.n))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, j in G.edges:
-        parent[root(i)] = root(j)
-    sizes = Counter(root(v) for v in range(G.n))
-    return degree_sequence(G), sorted(sizes.values())
+    return find_graph_mapping(G, H, budget)
 
 
 def permutation_similar(

@@ -2,11 +2,16 @@
 graph isomorphism (0/1 matrices) and for permutation similarity of
 candidate squares (entries act as edge colors).
 
-The engine is color refinement followed by backtracking: vertices start
-with colors (diagonal entry, support-component size), and colors are
-refined jointly on both sides by iterated multisets of (color, entry)
-over each row's nonzero off-diagonal entries, which are read once; a
-depth-first search over the refined classes completes the mapping.
+Each side is read once into a sparse form: its diagonal and each row's
+nonzero off-diagonal entries as (index, entry) pairs; once refinement
+has passed, the target side's rows also become dicts.  A matrix is read
+off its rows; a graph is read straight from its edge set, so no dense
+matrix is built.  The engine is color refinement followed by
+backtracking: vertices start with colors (diagonal entry,
+support-component size), and colors are refined jointly on both sides
+by iterated multisets of (color, entry) over each row's nonzero
+entries; a depth-first search over the refined classes completes the
+mapping, testing each candidate against the nonzero entries alone.
 Everything is deterministic; no heuristic can produce a wrong answer,
 only a budget abort (raised as ``BudgetExhausted``, never conflated
 with "no mapping exists").
@@ -14,12 +19,12 @@ with "no mapping exists").
 
 from __future__ import annotations
 
+import heapq
 import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .analysis import _component_labels
-from .core import IntMatrix, Permutation
+from .core import Graph, IntMatrix, Permutation
 from .realize import SearchBudget
 
 
@@ -35,95 +40,119 @@ class IsoBudget(SearchBudget):
     max_seconds: float | None = None
 
 
-def _nonzero(M: IntMatrix) -> list[list[tuple[int, int]]]:
-    """Each row's nonzero off-diagonal entries, as (index, entry) pairs."""
-    return [[(u, x) for u, x in enumerate(row) if x and u != v] for v, row in enumerate(M.rows)]
+class _Side:
+    """One side of a mapping search: the diagonal, and each row's nonzero
+    off-diagonal entries as (index, entry) pairs."""
+
+    __slots__ = ("diag", "nonzero")
+
+    def __init__(self, diag: list[int], nonzero: list[list[tuple[int, int]]]):
+        self.diag = diag
+        self.nonzero = nonzero
 
 
-def _initial_keys(M: IntMatrix) -> list[tuple[int, int]]:
-    """(diagonal entry, size of the support component) of each index."""
-    label, _ = _component_labels(M.rows)
-    size = Counter(label)
-    return [(M.rows[v][v], size[label[v]]) for v in range(M.n)]
+def _matrix_side(M: IntMatrix) -> _Side:
+    rows = M.rows
+    return _Side([row[v] for v, row in enumerate(rows)],
+                 [[(u, x) for u, x in enumerate(row) if x and u != v] for v, row in enumerate(rows)])
+
+
+def _graph_side(G: Graph) -> _Side:
+    """The side of G's adjacency matrix, from the edge set in O(n + m)."""
+    nonzero: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
+    for i, j in G.edges:
+        nonzero[i].append((j, 1))
+        nonzero[j].append((i, 1))
+    return _Side([0] * G.n, nonzero)
+
+
+def _component_sizes(nonzero: list[list[tuple[int, int]]]) -> list[int]:
+    """Size of each index's support component, labelled from the lowest
+    unlabelled index outward along the nonzero entries."""
+    size = [0] * len(nonzero)
+    for start in range(len(nonzero)):
+        if size[start]:
+            continue
+        size[start] = -1
+        component = [start]
+        for v in component:
+            for u, _ in nonzero[v]:
+                if not size[u]:
+                    size[u] = -1
+                    component.append(u)
+        for v in component:
+            size[v] = len(component)
+    return size
 
 
 def _signatures(nonzero: list[list[tuple[int, int]]], colors: list[int]) -> list[tuple]:
     """Each index's color and the multiset of (color, entry) of its row."""
-    return [(colors[v], tuple(sorted((colors[u], x) for u, x in row)))
+    return [(colors[v], tuple(sorted([(colors[u], x) for u, x in row])))
             for v, row in enumerate(nonzero)]
 
 
-def _refine(Ma: IntMatrix, Mb: IntMatrix, nonzero: list) -> tuple[list[int], list[int]] | None:
-    """Joint color refinement of Ma and Mb from their ``nonzero`` lists;
+def _refine(a: _Side, b: _Side) -> tuple[list[int], list[int]] | None:
+    """Joint color refinement of two sides from their nonzero entries;
     None when the color histograms separate (no mapping can exist).  The
     class sizes match on both sides before every round and fix each
     index's zero entries per class, so this refines as whole rows would."""
-    keys = [_initial_keys(Ma), _initial_keys(Mb)]
+    keys = [list(zip(s.diag, _component_sizes(s.nonzero))) for s in (a, b)]
     classes = 0
     while True:
         palette = {key: idx for idx, key in enumerate(sorted(set(keys[0]) | set(keys[1])))}
         col_a, col_b = ([palette[k] for k in side] for side in keys)
-        if Counter(col_a) != Counter(col_b):
+        if sorted(col_a) != sorted(col_b):
             return None
         if len(palette) == classes:
             return col_a, col_b
         classes = len(palette)
-        keys = [_signatures(nz, col) for nz, col in zip(nonzero, (col_a, col_b))]
+        keys = [_signatures(s.nonzero, col) for s, col in ((a, col_a), (b, col_b))]
 
 
 def _search_order(nonzero: list[list[tuple[int, int]]], colors: list[int]) -> list[int]:
     """Deterministic vertex order: most already-ordered support-neighbors
-    first, then rarest color, then index."""
-    n = len(colors)
+    first, then rarest color, then index.  A vertex's key only falls as
+    its neighbors are ordered, so its newest heap entry is its smallest
+    and comes out before any stale one."""
     class_size = Counter(colors)
+    heap = [(0, class_size[c], v) for v, c in enumerate(colors)]
+    heapq.heapify(heap)
+    anchored = [0] * len(colors)  # how many ordered support-neighbors each vertex has
+    placed = [False] * len(colors)
     ordered: list[int] = []
-    placed = [False] * n
-    anchored = [0] * n  # how many ordered support-neighbors each vertex has
-    for _ in range(n):
-        best = None
-        best_key = None
-        for v in range(n):
-            if placed[v]:
-                continue
-            key = (-anchored[v], class_size[colors[v]], v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        assert best is not None
-        ordered.append(best)
-        placed[best] = True
-        for u, _ in nonzero[best]:
+    while heap:
+        _, _, v = heapq.heappop(heap)
+        if placed[v]:
+            continue
+        ordered.append(v)
+        placed[v] = True
+        for u, _ in nonzero[v]:
             if not placed[u]:
                 anchored[u] += 1
+                heapq.heappush(heap, (-anchored[u], class_size[colors[u]], u))
     return ordered
 
 
-def find_matrix_mapping(
-    Ma: IntMatrix,
-    Mb: IntMatrix,
-    budget: IsoBudget | None = None,
-) -> Permutation | None:
-    """Bijection p with Ma[i][j] == Mb[p(i)][p(j)] for all i, j, or None
-    when none exists.  Raises BudgetExhausted on resource limits."""
-    if Ma.n != Mb.n:
-        return None
-    n = Ma.n
-    if n == 0:
-        return Permutation.identity(0)
-    budget = budget or IsoBudget()
-
-    nonzero = [_nonzero(Ma), _nonzero(Mb)]
-    refined = _refine(Ma, Mb, nonzero)
-    if refined is None:
-        return None
-    col_a, col_b = refined
-
+def _search(a: _Side, b: _Side, entry_b: list[dict[int, int]], col_a: list[int],
+            col_b: list[int], budget: IsoBudget) -> list[int] | None:
+    """Depth-first search for p with a's entries equal to b's under p,
+    over candidates of equal color; ``entry_b`` holds b's nonzero entries
+    as one dict per row.  The images as a list, or None."""
+    n = len(col_a)
     by_color: dict[int, list[int]] = {}
     for x in range(n):
         by_color.setdefault(col_b[x], []).append(x)
 
-    order = _search_order(nonzero[0], col_a)
-    rows_a = Ma.rows
-    rows_b = Mb.rows
+    order = _search_order(a.nonzero, col_a)
+    depth_of = [0] * n
+    for depth, u in enumerate(order):
+        depth_of[u] = depth
+    # the vertices mapped before depth d are exactly order[:d], so the
+    # nonzero entries of order[d] that a candidate must match are fixed
+    back = [[(v, x) for v, x in a.nonzero[u] if depth_of[v] < depth]
+            for depth, u in enumerate(order)]
+    nonzero_b = b.nonzero
+    mapped_nb = [0] * n  # how many of each b-vertex's nonzero entries sit at used vertices
     mapping = [-1] * n
     used = [False] * n
     nodes = 0
@@ -137,9 +166,12 @@ def find_matrix_mapping(
         u = order[depth]
         if mapping[u] != -1:
             # coming back to this depth: undo its last choice
-            used[mapping[u]] = False
+            x = mapping[u]
+            used[x] = False
             mapping[u] = -1
-        ra = rows_a[u]
+            for w, _ in nonzero_b[x]:
+                mapped_nb[w] -= 1
+        need = back[depth]
         cands = by_color.get(col_a[u], ())
         c = cursor[depth]
         while c < len(cands):
@@ -152,14 +184,19 @@ def find_matrix_mapping(
                 raise BudgetExhausted(f"mapping search exceeded {budget.max_nodes} nodes")
             if deadline and nodes & 0x3FF == 0 and time.monotonic() > deadline:
                 raise BudgetExhausted(f"mapping search exceeded {budget.max_seconds}s")
-            rb = rows_b[x]
-            for v in order[:depth]:
-                if ra[v] != rb[mapping[v]]:
+            # u's nonzeros at mapped vertices match x's at their images, and
+            # x has no other nonzero at a used vertex: the dense row test
+            if mapped_nb[x] != len(need):
+                continue
+            ex = entry_b[x]
+            for v, e in need:
+                if ex.get(mapping[v]) != e:
                     break
             else:
-                # consistent with every vertex mapped so far: take it
                 mapping[u] = x
                 used[x] = True
+                for w, _ in nonzero_b[x]:
+                    mapped_nb[w] += 1
                 break
         if mapping[u] != -1:
             cursor[depth] = c
@@ -169,8 +206,56 @@ def find_matrix_mapping(
             if depth == 0:
                 return None
             depth -= 1
+    return mapping
 
+
+def _is_witness(a: _Side, b: _Side, entry_b: list[dict[int, int]], mapping: list[int]) -> bool:
+    """Whether a's entries equal b's under the injective ``mapping``:
+    equal diagonals and nonzero counts, and every nonzero of a found in b."""
+    for i, p in enumerate(mapping):
+        row_b = entry_b[p]
+        if a.diag[i] != b.diag[p] or len(a.nonzero[i]) != len(row_b):
+            return False
+        for j, x in a.nonzero[i]:
+            if row_b.get(mapping[j]) != x:
+                return False
+    return True
+
+
+def _find_mapping(a: _Side, b: _Side, budget: IsoBudget | None) -> Permutation | None:
+    refined = _refine(a, b)
+    if refined is None:
+        return None
+    entry_b = [dict(row) for row in b.nonzero]
+    mapping = _search(a, b, entry_b, *refined, budget or IsoBudget())
+    if mapping is None:
+        return None
+    p = Permutation(tuple(mapping))
     # not an assert: the guarantee must hold under python -O too
-    if any(rows_a[i][j] != rows_b[mapping[i]][mapping[j]] for i in range(n) for j in range(n)):
+    if not _is_witness(a, b, entry_b, mapping):
         raise AssertionError("mapping search returned a non-witness; engine bug")
-    return Permutation(tuple(mapping))
+    return p
+
+
+def find_matrix_mapping(
+    Ma: IntMatrix,
+    Mb: IntMatrix,
+    budget: IsoBudget | None = None,
+) -> Permutation | None:
+    """Bijection p with Ma[i][j] == Mb[p(i)][p(j)] for all i, j, or None
+    when none exists.  Raises BudgetExhausted on resource limits."""
+    if Ma.n != Mb.n:
+        return None
+    return _find_mapping(_matrix_side(Ma), _matrix_side(Mb), budget)
+
+
+def find_graph_mapping(
+    G: Graph,
+    H: Graph,
+    budget: IsoBudget | None = None,
+) -> Permutation | None:
+    """``find_matrix_mapping`` on the adjacency matrices of G and H, read
+    from their edge sets without building either matrix."""
+    if G.n != H.n:
+        return None
+    return _find_mapping(_graph_side(G), _graph_side(H), budget)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import subprocess
 import sys
 from collections import Counter
 
@@ -23,6 +24,7 @@ from twowalk import (
     is_bipartite,
     permutation_similar,
     permute_graph,
+    realize_all,
     similar_square_pair,
     square,
     support_components,
@@ -182,13 +184,12 @@ class TestAreIsomorphic:
         assert nx.is_isomorphic(to_nx(k33), to_nx(prism)) is False
 
     def test_component_sizes_reject_before_any_matrix(self, monkeypatch):
+        # are_isomorphic reads both graphs from their edges: no call builds a matrix
+        def refuse(M):
+            raise AssertionError("dense matrix built")
+
+        monkeypatch.setattr(IntMatrix, "__post_init__", refuse)
         # 4·C5 and 2·C5 ⊔ C10: same order, size and degrees (all 2)
-        import twowalk.construct as construct
-
-        def refuse(G):
-            raise AssertionError("adjacency matrix built")
-
-        monkeypatch.setattr(construct, "adjacency_matrix", refuse)
         c5_pair = disjoint_union(cycle(5), cycle(5))
         four = disjoint_union(c5_pair, c5_pair)
         other = disjoint_union(c5_pair, cycle(10))
@@ -196,6 +197,37 @@ class TestAreIsomorphic:
         # P4 and the star K_1,3: same order and size, degrees differ
         star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
         assert are_isomorphic(path(4), star) is None
+        # an isomorphic pair goes through the whole search
+        p = Permutation(tuple(random.Random(5).sample(range(20), 20)))
+        q = are_isomorphic(four, permute_graph(four, p))
+        assert q is not None
+        assert {tuple(sorted((q(i), q(j)))) for i, j in four.edges} == set(permute_graph(four, p).edges)
+
+    def test_mapping_check_survives_optimize_flag(self):
+        # a search that returns a wrong mapping must be caught even when
+        # python -O strips asserts: on P4 and its square, 1 and 2 swapped
+        # (same diagonal and degrees, an entry differs); on diag(1, 2),
+        # 0 and 1 swapped (no off-diagonal entry, the diagonal differs)
+        code = (
+            "from twowalk import IntMatrix, are_isomorphic, graph_from_edges, iso, permutation_similar\n"
+            "if __debug__:\n"
+            "    raise SystemExit('asserts are enabled')\n"
+            "iso._search = lambda a, *rest: {4: [0, 2, 1, 3], 2: [1, 0]}[len(a.diag)]\n"
+            "P4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])\n"
+            "S = IntMatrix.from_rows([[1, 0, 1, 0], [0, 2, 0, 1], [1, 0, 2, 0], [0, 1, 0, 1]])\n"
+            "D = IntMatrix.from_rows([[1, 0], [0, 2]])\n"
+            "for call, args in ((are_isomorphic, (P4, P4)), (permutation_similar, (S, S)),\n"
+            "                   (permutation_similar, (D, D))):\n"
+            "    try:\n"
+            "        call(*args)\n"
+            "    except AssertionError as exc:\n"
+            "        print('raised:', exc)\n"
+            "    else:\n"
+            "        print('returned')\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["raised: mapping search returned a non-witness; engine bug"] * 3
 
     def test_budget_exhaustion_raises(self):
         G = cycle(9)
@@ -294,6 +326,58 @@ def dense_refine(Ma, Mb):
         col_a, col_b = new_a, new_b
 
 
+def dense_mapping(Ma, Mb):
+    """Reference mapping search over whole rows: ``dense_refine``'s
+    classes, the order most ordered support-neighbours first, then rarest
+    class, then index (by a full scan), and each candidate of u's class,
+    in index order, tested against every vertex mapped before u.  Returns
+    the permutation or None, and the nodes counted as the engine counts
+    them (one per unused candidate tried)."""
+    refined = dense_refine(Ma, Mb)
+    if refined is None:
+        return None, 0
+    col_a, col_b = refined
+    n, rows_a, rows_b = Ma.n, Ma.rows, Mb.rows
+    class_size = Counter(col_a)
+    order, anchored = [], [0] * n
+    while len(order) < n:
+        v = min((u for u in range(n) if u not in order),
+                key=lambda u: (-anchored[u], class_size[col_a[u]], u))
+        order.append(v)
+        for u in range(n):
+            if u != v and rows_a[v][u] and u not in order:
+                anchored[u] += 1
+    mapping, nodes = {}, 0
+
+    def extend(depth):
+        nonlocal nodes
+        if depth == n:
+            return True
+        u = order[depth]
+        for x in range(n):
+            if col_b[x] != col_a[u] or x in mapping.values():
+                continue
+            nodes += 1
+            if all(rows_a[u][v] == rows_b[x][mapping[v]] for v in order[:depth]):
+                mapping[u] = x
+                if extend(depth + 1):
+                    return True
+                del mapping[u]
+        return False
+
+    found = extend(0)
+    return (Permutation(tuple(mapping[i] for i in range(n))) if found else None), nodes
+
+
+def outcome(call, *args):
+    """A call's mapping as a tuple, None, or the BudgetExhausted message."""
+    try:
+        p = call(*args)
+    except BudgetExhausted as exc:
+        return ("budget", str(exc))
+    return p if p is None else p.mapping
+
+
 def joint_partition(colors):
     """The partition of both sides' indices that a coloring induces, in
     a canonical form; None stays None."""
@@ -312,7 +396,7 @@ class TestRefinement:
 
     @staticmethod
     def assert_same_partition(Ma, Mb):
-        mine = iso._refine(Ma, Mb, [iso._nonzero(Ma), iso._nonzero(Mb)])
+        mine = iso._refine(iso._matrix_side(Ma), iso._matrix_side(Mb))
         assert joint_partition(mine) == joint_partition(dense_refine(Ma, Mb))
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -325,10 +409,10 @@ class TestRefinement:
     def test_component_sizes_split_regular_graphs(self):
         A = adjacency_matrix(disjoint_union(cycle(3), cycle(4)))
         self.assert_same_partition(A, relabelled(A, random.Random(7)))
-        assert len(set(iso._refine(A, A, [iso._nonzero(A)] * 2)[0])) == 2
+        assert len(set(iso._refine(iso._matrix_side(A), iso._matrix_side(A))[0])) == 2
         B, C = adjacency_matrix(cycle(6)), adjacency_matrix(disjoint_union(cycle(3), cycle(3)))
         self.assert_same_partition(B, C)
-        assert iso._refine(B, C, [iso._nonzero(B), iso._nonzero(C)]) is None
+        assert iso._refine(iso._matrix_side(B), iso._matrix_side(C)) is None
 
     def test_random_integer_matrices(self):
         rng = random.Random(8)
@@ -345,6 +429,85 @@ class TestRefinement:
             i, j = rng.randrange(n), rng.randrange(n)
             rows[i][j] = rows[j][i] = (rows[i][j] + 1) % 4
             self.assert_same_partition(M, relabelled(IntMatrix.from_rows(rows), rng))
+
+
+class TestAgainstDenseSearch:
+    """are_isomorphic and permutation_similar give the dense reference's
+    mapping, None or BudgetExhausted, call for call."""
+
+    CAPS = [None, 1, 2, 3, 5, 8, 20]
+
+    @staticmethod
+    def assert_agrees(call, args, reference, cap):
+        """``call(*args, budget)`` gives the reference's outcome at ``cap``
+        and on both sides of the reference's node count."""
+        found, nodes = reference
+        for c in {cap} | {c for c in (nodes, nodes - 1) if c > 0}:
+            if c and nodes > c:
+                expected = ("budget", f"mapping search exceeded {c} nodes")
+            else:
+                expected = found if found is None else found.mapping
+            assert outcome(call, *args, IsoBudget(max_nodes=c) if c else None) == expected
+
+    def assert_graphs_agree(self, G, H, cap):
+        self.assert_agrees(are_isomorphic, (G, H),
+                           dense_mapping(adjacency_matrix(G), adjacency_matrix(H)), cap)
+
+    def assert_matrices_agree(self, S1, S2, cap):
+        self.assert_agrees(permutation_similar, (S1, S2), dense_mapping(S2, S1), cap)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_graph_against_a_relabelling(self, n):
+        rng = random.Random(100 + n)
+        graphs = list(all_graphs(n))
+        for G in graphs:
+            H = permute_graph(G, Permutation(tuple(rng.sample(range(n), n))))
+            self.assert_graphs_agree(G, H, rng.choice(self.CAPS))
+            self.assert_graphs_agree(G, rng.choice(graphs), None)
+
+    def test_c5_k2_witnesses(self):
+        witnesses = realize_all(duplication_family(cycle(5), 2).shared_square).witnesses
+        rng = random.Random(12)
+        for _ in range(60):
+            self.assert_graphs_agree(rng.choice(witnesses), rng.choice(witnesses), rng.choice(self.CAPS))
+
+    def test_regular_graphs_refinement_cannot_split(self):
+        k33 = graph_from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+        prism = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                     (0, 3), (1, 4), (2, 5)])
+        petersen = graph_from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                    + [(i, 5 + i) for i in range(5)]
+                                    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+        rng = random.Random(15)
+        for G, H in ((k33, prism), (prism, k33), (k33, k33), (cycle(6), cycle(6))):
+            self.assert_graphs_agree(G, H, None)
+        for G in (k33, prism, petersen, cycle(9)):
+            self.assert_graphs_agree(G, permute_graph(G, Permutation(tuple(rng.sample(range(G.n), G.n)))), None)
+
+    def test_weighted_matrices(self):
+        rng = random.Random(13)
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = rng.randint(0, 2)
+                for j in range(i + 1, n):
+                    if rng.random() < 0.5:
+                        rows[i][j] = rows[j][i] = rng.choice([1, 2, 3, 2**70])
+            M = IntMatrix.from_rows(rows)
+            self.assert_matrices_agree(M, relabelled(M, rng), rng.choice(self.CAPS))
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] = rows[j][i] = rows[i][j] + 1
+            self.assert_matrices_agree(M, relabelled(IntMatrix.from_rows(rows), rng), None)
+
+    def test_squares(self):
+        rng = random.Random(14)
+        for _ in range(60):
+            S = sq(random_graph(rng, rng.randint(4, 9), rng.choice([0.3, 0.5])))
+            self.assert_matrices_agree(S, relabelled(S, rng), rng.choice(self.CAPS))
+        S = duplication_family(cycle(5), 2).shared_square
+        for cap in self.CAPS:
+            self.assert_matrices_agree(S, relabelled(S, rng), cap)
 
 
 class TestVerifyBipCopy:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twowalk import (
@@ -54,6 +54,25 @@ class TestAdjacencyMatrix:
         assert not IntMatrix.from_rows([[1, 0], [0, 1]]).is_adjacency()
 
 
+def reference_square(rows):
+    """M·M by the textbook triple loop over every (i, j, k)."""
+    n = len(rows)
+    return [[sum(rows[i][k] * rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """Square nonsymmetric matrices, n = 0..7, mostly zeros, with some
+    all-zero rows and entries from 0..9 and from beyond 2^63."""
+    n = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.integers(0, 9), st.integers(2**63, 2**70))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, 6))):
+        if i < n:
+            rows[i] = [0] * n
+    return rows
+
+
 class TestSquare:
     def test_triangle(self):
         assert square(adjacency_matrix(cycle(3))).to_lists() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
@@ -88,6 +107,16 @@ class TestSquare:
         M = IntMatrix.from_rows(sym)
         assert M.is_symmetric()
         assert square(M).is_symmetric()
+
+    @given(sparse_int_matrices())
+    @example([])
+    @example([[0, 2**64 + 1], [0, 0]])
+    @example([[2**63, 0, 3], [0, 0, 0], [1, 2**70, 0]])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_triple_loop(self, rows):
+        S = square(IntMatrix.from_rows(rows))
+        assert S.to_lists() == reference_square(rows)
+        assert all(type(x) is int for row in S.rows for x in row)
 
 
 class TestIntMatrix:
