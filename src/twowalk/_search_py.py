@@ -114,6 +114,7 @@ from itertools import chain, product
 from operator import mul
 
 from .analysis import _component_labels
+from .core import _squares_to
 
 KERNEL_NAME = "python"
 
@@ -547,8 +548,4 @@ def _commuting_witness(s: list[list[int]], deadline: float) -> list[list[tuple[i
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
                 edges.append((i, j))
-    for i in range(n):
-        for j in range(i, n):
-            if (adj[i] & adj[j]).bit_count() != s[i][j]:
-                return []
-    return [edges]
+    return [edges] if _squares_to(adj, s) else []

@@ -9,7 +9,7 @@ square, a pass proves nothing (realization is the separate exact test).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -286,17 +286,6 @@ class CheckResult:
     reason: str
 
 
-_CHECK_NAMES = (
-    "symmetric",
-    "nonneg_integer",
-    "zero_free_diagonal_ok",
-    "common_neighbor_bound",
-    "trace_even",
-    "c4_divisible_by_4",
-    "rowsum_multiset_feasible",
-)
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of the full necessary-condition battery.
@@ -339,6 +328,10 @@ class ConditionReport:
             lines.append(f"  [{mark}] {name}: {c.reason}")
         lines.append(f"  overall: {'pass' if self.overall else 'FAIL (not a square of any adjacency matrix)'}")
         return "\n".join(lines)
+
+
+# the battery's check names, in report order
+_CHECK_NAMES = tuple(f.name for f in fields(ConditionReport))
 
 
 def _coerce_matrix(S) -> tuple[tuple[tuple[int, ...], ...] | None, str | None]:

@@ -1,7 +1,8 @@
 """Duplication machinery: disjoint unions, bipartite double covers, and
 block constructions that manufacture one matrix shared as the adjacency
-square of many pairwise non-isomorphic graphs — plus the isomorphism /
-permutation-similarity front ends used to certify those claims.
+square of many pairwise non-isomorphic graphs.  The claims are certified
+by ``iso.are_isomorphic`` and ``iso.permutation_similar``, re-exported
+here.
 """
 
 from __future__ import annotations
@@ -9,17 +10,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import (
-    DimensionMismatch,
-    Graph,
-    IntMatrix,
-    Permutation,
-    adjacency_matrix,
-    graph_from_edges,
-    square,
-)
+from .core import Graph, IntMatrix, adjacency_matrix, graph_from_edges, square
 from .formats import graph_json_dict
-from .iso import BudgetExhausted, IsoBudget, find_graph_mapping, find_matrix_mapping
+from .iso import BudgetExhausted, IsoBudget, are_isomorphic, permutation_similar
 from .realize import verify
 
 __all__ = [
@@ -85,34 +78,6 @@ def bipartite_double_cover(G: Graph) -> Graph:
         edges.append((i, n + j))
         edges.append((j, n + i))
     return graph_from_edges(2 * n, edges)
-
-
-def are_isomorphic(
-    G: Graph, H: Graph, budget: IsoBudget | None = None
-) -> Permutation | None:
-    """A permutation p mapping G's edge set onto H's ({i,j} in G iff
-    {p(i),p(j)} in H), or None when the graphs are not isomorphic.
-
-    Exact backtracking over color-refined vertex classes; raises
-    BudgetExhausted rather than guessing on large hard inputs.
-    """
-    if G.num_edges != H.num_edges:
-        return None
-    return find_graph_mapping(G, H, budget)
-
-
-def permutation_similar(
-    S1: IntMatrix, S2: IntMatrix, budget: IsoBudget | None = None
-) -> Permutation | None:
-    """A permutation p with apply_similarity(S1, p) == S2 (that is,
-    S2[i][j] == S1[p(i)][p(j)]), or None when the matrices are not
-    permutation-similar.  Matrix entries act as edge colors in the
-    underlying mapping search."""
-    if not S1.is_symmetric() or not S2.is_symmetric():
-        raise ValueError("permutation_similar requires symmetric matrices")
-    if S1.n != S2.n:
-        raise DimensionMismatch(f"matrix sizes differ: {S1.n} vs {S2.n}")
-    return find_matrix_mapping(S2, S1, budget)
 
 
 def verify_bip_copy(G: Graph, budget: IsoBudget | None = None) -> bool:

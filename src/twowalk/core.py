@@ -260,6 +260,18 @@ def square(M: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(out))
 
 
+def _squares_to(adj: Sequence[int], rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the graph with neighbor bitmasks ``adj`` has ``rows`` as the
+    square of its adjacency matrix.  Entry (i, j) of the square counts the
+    common neighbors of i and j (the degree of i when i == j): one
+    popcount of the two bitmasks."""
+    return all(
+        (ai & aj).bit_count() == sij
+        for ai, row in zip(adj, rows)
+        for aj, sij in zip(adj, row)
+    )
+
+
 def apply_similarity(M: IntMatrix, p: Permutation) -> IntMatrix:
     """Conjugate M by the permutation p: result[i][j] = M[p(i)][p(j)].
 

@@ -205,8 +205,6 @@ def parse_matrix_text(text: str) -> IntMatrix:
             row = [int(t) for t in toks]
         except ValueError:
             raise FormatError(f"non-integer entry in row {line!r}", line=lineno) from None
-        if any(x < 0 for x in row):
-            raise FormatError("negative entry", line=lineno)
         rows.append(row)
     return _matrix_from_lists(rows, source="matrix text")
 

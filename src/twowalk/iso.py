@@ -1,13 +1,14 @@
-"""Exact mapping search between symmetric integer matrices, used both for
-graph isomorphism (0/1 matrices) and for permutation similarity of
-candidate squares (entries act as edge colors).
+"""Graph isomorphism and permutation similarity: ``are_isomorphic`` and
+``permutation_similar``, the two front ends of one exact mapping search
+between symmetric integer matrices (a graph is its 0/1 adjacency
+matrix; the entries of a matrix act as edge colors).
 
 Each side is read once into a sparse form: its diagonal and each row's
 nonzero off-diagonal entries as (index, entry) pairs; once refinement
 has passed, the target side's rows also become dicts.  A matrix is read
 off its rows; a graph is read straight from its edge set, so no dense
-matrix is built.  The engine is color refinement followed by
-backtracking: vertices start with colors (diagonal entry,
+matrix is built.  The engine, ``_find_mapping``, is color refinement
+followed by backtracking: vertices start with colors (diagonal entry,
 support-component size), and colors are refined jointly on both sides
 by iterated multisets of (color, entry) over each row's nonzero
 entries; a depth-first search over the refined classes completes the
@@ -23,8 +24,9 @@ import heapq
 import time
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import Graph, IntMatrix, Permutation
+from .core import DimensionMismatch, Graph, IntMatrix, Permutation
 from .realize import SearchBudget
 
 
@@ -40,15 +42,12 @@ class IsoBudget(SearchBudget):
     max_seconds: float | None = None
 
 
-class _Side:
+class _Side(NamedTuple):
     """One side of a mapping search: the diagonal, and each row's nonzero
     off-diagonal entries as (index, entry) pairs."""
 
-    __slots__ = ("diag", "nonzero")
-
-    def __init__(self, diag: list[int], nonzero: list[list[tuple[int, int]]]):
-        self.diag = diag
-        self.nonzero = nonzero
+    diag: list[int]
+    nonzero: list[list[tuple[int, int]]]
 
 
 def _matrix_side(M: IntMatrix) -> _Side:
@@ -237,25 +236,30 @@ def _find_mapping(a: _Side, b: _Side, budget: IsoBudget | None) -> Permutation |
     return p
 
 
-def find_matrix_mapping(
-    Ma: IntMatrix,
-    Mb: IntMatrix,
-    budget: IsoBudget | None = None,
+def are_isomorphic(
+    G: Graph, H: Graph, budget: IsoBudget | None = None
 ) -> Permutation | None:
-    """Bijection p with Ma[i][j] == Mb[p(i)][p(j)] for all i, j, or None
-    when none exists.  Raises BudgetExhausted on resource limits."""
-    if Ma.n != Mb.n:
-        return None
-    return _find_mapping(_matrix_side(Ma), _matrix_side(Mb), budget)
+    """A permutation p mapping G's edge set onto H's ({i,j} in G iff
+    {p(i),p(j)} in H), or None when the graphs are not isomorphic.
 
-
-def find_graph_mapping(
-    G: Graph,
-    H: Graph,
-    budget: IsoBudget | None = None,
-) -> Permutation | None:
-    """``find_matrix_mapping`` on the adjacency matrices of G and H, read
-    from their edge sets without building either matrix."""
-    if G.n != H.n:
+    Exact backtracking over color-refined vertex classes, read from the
+    edge sets without building either adjacency matrix; raises
+    BudgetExhausted rather than guessing on large hard inputs.
+    """
+    if G.n != H.n or G.num_edges != H.num_edges:
         return None
     return _find_mapping(_graph_side(G), _graph_side(H), budget)
+
+
+def permutation_similar(
+    S1: IntMatrix, S2: IntMatrix, budget: IsoBudget | None = None
+) -> Permutation | None:
+    """A permutation p with apply_similarity(S1, p) == S2 (that is,
+    S2[i][j] == S1[p(i)][p(j)]), or None when the matrices are not
+    permutation-similar.  Matrix entries act as edge colors in the
+    underlying mapping search."""
+    if not S1.is_symmetric() or not S2.is_symmetric():
+        raise ValueError("permutation_similar requires symmetric matrices")
+    if S1.n != S2.n:
+        raise DimensionMismatch(f"matrix sizes differ: {S1.n} vs {S2.n}")
+    return _find_mapping(_matrix_side(S2), _matrix_side(S1), budget)

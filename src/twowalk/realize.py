@@ -17,7 +17,7 @@ from typing import Iterator
 
 from . import _search_py
 from .analysis import necessary_conditions
-from .core import Graph, IntMatrix, graph_from_edges
+from .core import Graph, IntMatrix, _squares_to, graph_from_edges
 from .formats import graph_json_dict
 
 
@@ -36,9 +36,9 @@ class SearchBudget:
     max_seconds: float | None = 60.0
 
     def __post_init__(self):
-        if self.max_nodes <= 0:
+        if not self.max_nodes > 0:
             raise ValueError("max_nodes must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
+        if self.max_seconds is not None and not self.max_seconds > 0:
             raise ValueError("max_seconds must be positive or None")
 
 
@@ -99,21 +99,14 @@ class Enumeration:
 
 
 def verify(G: Graph, S: IntMatrix) -> bool:
-    """True iff the square of G's adjacency matrix equals S entrywise.
-
-    Entry (i, j) of the square counts the common neighbors of i and j (the
-    degree of i when i == j): one popcount of the two neighbor bitmasks."""
+    """True iff the square of G's adjacency matrix equals S entrywise."""
     if G.n != S.n:
         raise ValueError(f"graph has {G.n} vertices but matrix is {S.n}x{S.n}")
     adj = [0] * G.n
     for i, j in G.edges:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    return all(
-        (ai & aj).bit_count() == sij
-        for ai, row in zip(adj, S.rows)
-        for aj, sij in zip(adj, row)
-    )
+    return _squares_to(adj, S.rows)
 
 
 def _search(S: IntMatrix, budget: SearchBudget, witness_limit: int):
@@ -194,7 +187,7 @@ def realize_all(
     square equals S, in the search's deterministic order (see ``realize``).
 
     Witnesses are labeled graphs; callers wanting representatives up to
-    isomorphism can post-filter with ``construct.are_isomorphic``.
+    isomorphism can post-filter with ``iso.are_isomorphic``.
     """
     if limit is not None and limit <= 0:
         raise ValueError("limit must be positive or None")

@@ -90,6 +90,12 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "symmetric" in err
 
+    def test_negative_entry_exit_2(self, monkeypatch, capsys):
+        code, _, err = run(["analyze", "-"], stdin_text="2\n0 -1\n-1 0\n",
+                           monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 2
+        assert "entry at row 1, column 2 is negative: -1" in err
+
     def test_json_document(self, tmp_path, capsys):
         p = tmp_path / "s.json"
         p.write_text(INFEASIBLE_4X4_JSON)
@@ -269,7 +275,8 @@ class TestBudgetOptions:
         assert _budget(IsoBudget, args) == IsoBudget(max_nodes=7)
 
     @pytest.mark.parametrize("command", ["realize", "iso", "similar", "family"])
-    @pytest.mark.parametrize("option", [["--max-nodes", "-5"], ["--max-seconds", "-1"]])
+    @pytest.mark.parametrize("option", [["--max-nodes", "-5"], ["--max-seconds", "-1"],
+                                        ["--max-seconds", "nan"]])
     def test_negative_limit_is_an_input_error(self, command, option, c3_file, tmp_path, capsys):
         s = tmp_path / "s.json"
         s.write_text("[[0]]")

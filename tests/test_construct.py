@@ -13,6 +13,7 @@ from twowalk import (
     IntMatrix,
     IsoBudget,
     Permutation,
+    SearchBudget,
     adjacency_matrix,
     apply_similarity,
     are_isomorphic,
@@ -31,6 +32,7 @@ from twowalk import (
     verify,
     verify_bip_copy,
 )
+import twowalk
 from twowalk import iso
 from conftest import (
     all_graphs,
@@ -241,8 +243,27 @@ class TestAreIsomorphic:
         with pytest.raises(ValueError, match="must be positive"):
             IsoBudget(**limits)
 
+    @pytest.mark.parametrize("cls", [SearchBudget, IsoBudget])
+    @pytest.mark.parametrize("name", ["max_nodes", "max_seconds"])
+    def test_budget_rejects_nan_limits(self, cls, name):
+        # NaN passes a `<= 0` test and never passes a deadline or a node cap
+        with pytest.raises(ValueError, match="must be positive"):
+            cls(**{name: float("nan")})
+        assert cls(**{name: float("inf")})
+
     def test_different_sizes_absent(self):
         assert are_isomorphic(cycle(3), cycle(4)) is None
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        for module in (twowalk, twowalk.construct):
+            for name in module.__all__:
+                assert hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_construct_reexports_the_iso_front_ends(self):
+        assert twowalk.construct.are_isomorphic is iso.are_isomorphic
+        assert twowalk.construct.permutation_similar is iso.permutation_similar
 
 
 class TestPermutationSimilar:

@@ -101,6 +101,11 @@ class TestMatrixFormats:
         with pytest.raises(FormatError, match="negative"):
             parse_matrix_json("[[0,-1],[-1,0]]")
 
+    def test_text_rejects_negative(self):
+        with pytest.raises(FormatError) as exc:
+            parse_matrix_text("2\n0 -1\n-1 0\n")
+        assert str(exc.value) == "matrix text: entry at row 1, column 2 is negative: -1"
+
     def test_text_dimension_mismatch(self):
         with pytest.raises(FormatError, match="expected 3 matrix rows"):
             parse_matrix_text("3\n1 2 3\n4 5 6\n")
