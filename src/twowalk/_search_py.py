@@ -56,13 +56,14 @@ i and j > s_ij) prunes soundly.  Additional pruning:
 
 * after deciding a pair (i,j): each of i and j can still gain at most
   as many neighbors as it has undecided plan positions; falling short of
-  the required diagonal prunes;
+  the required diagonal prunes.  A vertex's degree and positions left
+  change only at its own positions, so this one check also keeps every
+  partly decided vertex able to reach its diagonal at every later
+  position;
 * when the last position of a vertex v is decided (a *completion
   event*), its common-neighbor count with every vertex that is already
   final on its side of the block must equal the entry of S (its degree
-  is then exactly s_vv by the two checks above), and every vertex with
-  some but not all of its positions decided must still be able to reach
-  its diagonal.
+  is then exactly s_vv by the two checks above).
 
 Every pair of a block's vertices on the same side is compared at the
 completion of the later one, and pairs across a cross block have no
@@ -113,8 +114,7 @@ from functools import lru_cache
 from itertools import chain, product
 from operator import mul
 
-from .analysis import _component_labels
-from .core import _squares_to
+from .core import _component_labels, _nonzero, _squares_to
 
 KERNEL_NAME = "python"
 
@@ -149,7 +149,7 @@ def run_search(
     unbudgeted order.
     """
     deadline = time.monotonic() + time_limit if time_limit > 0 else 0.0
-    label, count = _component_labels(s)
+    label, count = _component_labels(_nonzero(s))
     comps: list[list[int]] = [[] for _ in range(count)]
     for v, c in enumerate(label):
         comps[c].append(v)
@@ -321,40 +321,30 @@ def _plan(a: int, b: int) -> tuple[tuple, tuple]:
 
     Returns (steps, events).  ``steps[t]`` is (i, j, left_i, left_j): the
     pair decided at position t and how many positions of i and of j come
-    after it.  ``events[t]`` is None or (completions, capacity):
-    completions lists (v, vertices already final on v's side) for each
-    vertex whose last position is t, and capacity lists (r, positions
-    left) for every vertex with some, but not all, positions decided.
+    after it.  ``events[t]`` is None or the completions at t: (v,
+    vertices already final on v's side) for each vertex whose last
+    position is t.
     """
     if b:
         pairs = [(i, a + j) for i in range(a) for j in range(b)]
     else:
         pairs = [(i, j) for i in range(a) for j in range(i + 1, a)]
-    size = a + b
-    side = [0] * a + [1] * b
-    left = [0] * size
-    for i, j in pairs:
-        left[i] += 1
-        left[j] += 1
-    touched = [False] * size
+    # a vertex meets every other one of a block alone, every vertex of the
+    # other side of a cross block
+    left = [b or a - 1] * a + [a] * b
     final: list[int] = []
     steps = []
     events = []
     for i, j in pairs:
         left[i] -= 1
         left[j] -= 1
-        touched[i] = touched[j] = True
         steps.append((i, j, left[i], left[j]))
         completions = []
         for v in (i, j):
             if left[v] == 0:
-                completions.append((v, tuple(u for u in final if side[u] == side[v])))
+                completions.append((v, tuple(u for u in final if (u < a) == (v < a))))
                 final.append(v)
-        if completions:
-            capacity = tuple((r, left[r]) for r in range(size) if touched[r] and left[r])
-            events.append((tuple(completions), capacity))
-        else:
-            events.append(None)
+        events.append(tuple(completions) or None)
     return tuple(steps), tuple(events)
 
 
@@ -463,26 +453,12 @@ def _search(
             applied[pos] = True
 
         # remaining-capacity checks for the two vertices just touched
-        ok = ai.bit_count() + left_i >= si[i] and aj.bit_count() + left_j >= sj[j]
-        if ok:
-            event = events[pos]
-            if event is not None:
-                completions, capacity = event
-                for u, earlier in completions:
-                    au = adj[u]
-                    su = s[u]
-                    for a in earlier:
-                        if (au & adj[a]).bit_count() != su[a]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    for r, left_r in capacity:
-                        if adj[r].bit_count() + left_r < s[r][r]:
-                            ok = False
-                            break
-        if ok:
+        if ai.bit_count() + left_i < si[i] or aj.bit_count() + left_j < sj[j]:
+            continue
+        completions = events[pos]
+        if completions is None or all(
+            (adj[u] & adj[a]).bit_count() == s[u][a] for u, earlier in completions for a in earlier
+        ):
             pos += 1
 
 

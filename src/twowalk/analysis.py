@@ -1,6 +1,8 @@
-"""Structural analysis of candidate squares S: support components,
-four-cycle counting, row-sum diagnostics, and the battery of necessary
-conditions a matrix must pass to be the square of an adjacency matrix.
+"""Structural analysis of candidate squares S: support components (the
+labelling itself is ``core._component_labels``, shared with the search
+kernel and the mapping search), four-cycle counting, row-sum
+diagnostics, and the battery of necessary conditions a matrix must pass
+to be the square of an adjacency matrix.
 
 Every check here is necessary-only: a failure proves S is not such a
 square, a pass proves nothing (realization is the separate exact test).
@@ -8,12 +10,18 @@ square, a pass proves nothing (realization is the separate exact test).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
-from .core import IntMatrix, _asymmetric_pair, _matrix_problem, _negative_entry
+from .core import (
+    IntMatrix,
+    _asymmetric_pair,
+    _component_labels,
+    _matrix_problem,
+    _negative_entry,
+    _nonzero,
+)
 
 
 def _require_symmetric(S: IntMatrix, what: str) -> None:
@@ -47,30 +55,8 @@ def support_components(S: IntMatrix) -> IndexPartition:
     off-blocks exactly when component_count ≥ 2.
     """
     _require_symmetric(S, "support_components")
-    label, count = _component_labels(S.rows)
+    label, count = _component_labels(_nonzero(S.rows))
     return IndexPartition(tuple(label), count)
-
-
-def _component_labels(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
-    """BFS labelling behind ``support_components``, on the rows of a
-    matrix already known to be symmetric."""
-    n = len(rows)
-    label = [-1] * n
-    count = 0
-    for start in range(n):
-        if label[start] != -1:
-            continue
-        label[start] = count
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            rv = rows[v]
-            for u in range(n):
-                if u != v and rv[u] != 0 and label[u] == -1:
-                    label[u] = count
-                    queue.append(u)
-        count += 1
-    return label, count
 
 
 def is_bipartite_or_disconnected(S: IntMatrix) -> bool:
@@ -131,12 +117,13 @@ def count_c4(S: IntMatrix) -> C4Count:
 
 def _c4_pair_sum(rows: Sequence[Sequence[int]]) -> int:
     """Σ_{i≠j} C(s_ij, 2) over ordered pairs: four times the four-cycle
-    count of any graph whose square is ``rows``."""
+    count of any graph whose square is ``rows``.  The rows must be
+    symmetric: each unordered pair is read once, as s_ij·(s_ij − 1) with
+    i < j, which counts C(s_ij, 2) for both orders."""
     total = 0
     for i, ri in enumerate(rows):
-        for j, s in enumerate(ri):
-            if i != j:
-                total += s * (s - 1) // 2
+        for s in ri[i + 1:]:
+            total += s * (s - 1)
     return total
 
 
@@ -390,12 +377,13 @@ def _square_checks(rows: tuple[tuple[int, ...], ...]) -> dict[str, CheckResult]:
             False, f"s_{big + 1},{big + 1}={diag[big]} exceeds n-1={n - 1} (a degree cannot)"
         )
 
+    # rows are symmetric, so the first violation in row-major order has i < j
     viol = next(
         (
             (i, j)
             for i in range(n)
-            for j in range(n)
-            if i != j and rows[i][j] > min(diag[i], diag[j])
+            for j in range(i + 1, n)
+            if rows[i][j] > min(diag[i], diag[j])
         ),
         None,
     )

@@ -243,7 +243,7 @@ def cmd_similar(args) -> int:
     return _emit_permutation(p, args, "similar", "not permutation-similar")
 
 
-def _add_common(sub, *, second_input=False):
+def _add_common(sub, *, second_input=False, budget=False):
     sub.add_argument("input", help="input file, or - for stdin")
     if second_input:
         sub.add_argument("input2", help="second input file, or - for stdin")
@@ -252,10 +252,11 @@ def _add_common(sub, *, second_input=False):
                      help="input format (default: auto-detect)")
     sub.add_argument("--out", default=None, help="write output to this path")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sub.add_argument("--max-nodes", type=int, default=None, metavar="N",
-                     help="search node budget")
-    sub.add_argument("--max-seconds", type=float, default=None, metavar="T",
-                     help="search time budget in seconds")
+    if budget:
+        sub.add_argument("--max-nodes", type=int, default=None, metavar="N",
+                         help="search node budget")
+        sub.add_argument("--max-seconds", type=float, default=None, metavar="T",
+                         help="search time budget in seconds")
 
 
 @functools.cache
@@ -281,14 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_count_c4)
 
     sp = subs.add_parser("realize", help="find a graph whose adjacency square equals the matrix")
-    _add_common(sp)
+    _add_common(sp, budget=True)
     sp.add_argument("--all", action="store_true", help="enumerate all labeled witnesses")
     sp.add_argument("--limit", type=int, default=None, metavar="N",
                     help="stop after N witnesses (implies --all)")
     sp.set_defaults(func=cmd_realize)
 
     sp = subs.add_parser("family", help="build k+1 non-isomorphic graphs sharing one square")
-    _add_common(sp)
+    _add_common(sp, budget=True)
     sp.add_argument("-k", type=int, required=True, help="number of double-cover swaps")
     sp.set_defaults(func=cmd_family)
 
@@ -301,11 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_union)
 
     sp = subs.add_parser("iso", help="decide graph isomorphism, printing a witness permutation")
-    _add_common(sp, second_input=True)
+    _add_common(sp, second_input=True, budget=True)
     sp.set_defaults(func=cmd_iso)
 
     sp = subs.add_parser("similar", help="decide permutation similarity of two matrices")
-    _add_common(sp, second_input=True)
+    _add_common(sp, second_input=True, budget=True)
     sp.set_defaults(func=cmd_similar)
 
     return parser

@@ -7,12 +7,11 @@ here.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .core import Graph, IntMatrix, adjacency_matrix, graph_from_edges, square
+from .core import Graph, IntMatrix, _component_labels, adjacency_matrix, graph_from_edges, square
 from .formats import graph_json_dict
-from .iso import BudgetExhausted, IsoBudget, are_isomorphic, permutation_similar
+from .iso import BudgetExhausted, IsoBudget, _graph_side, are_isomorphic, permutation_similar
 from .realize import verify
 
 __all__ = [
@@ -46,26 +45,17 @@ def _union_of(copies: list[Graph]) -> Graph:
 def is_bipartite(G: Graph) -> list[int] | None:
     """A 0/1 vertex coloring with no monochromatic edge, or None.
 
-    BFS per component, root colored 0; edgeless graphs come out
-    bipartite with everything in class 0.  Reordering vertices by color
-    class block-antidiagonalizes the adjacency matrix.
+    A component of G is bipartite exactly when its two copies in the
+    bipartite double cover fall apart, one per side; then the side
+    holding the component's lowest vertex is colored 0, so edgeless
+    graphs come out bipartite with everything in class 0.  Reordering
+    vertices by color class block-antidiagonalizes the adjacency matrix.
     """
-    color: list[int] = [-1] * G.n
-    adj = G.adjacency_sets()
-    for start in range(G.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    return color
+    n = G.n
+    label, _ = _component_labels(_graph_side(bipartite_double_cover(G)).nonzero)
+    if any(label[v] == label[n + v] for v in range(n)):
+        return None
+    return [int(label[v] > label[n + v]) for v in range(n)]
 
 
 def bipartite_double_cover(G: Graph) -> Graph:

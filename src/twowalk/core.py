@@ -1,5 +1,7 @@
 """Exact graph / integer-matrix value types and the operations shared by
-every other module.
+every other module: the search budget, the square and its popcount
+check, and the support components of a symmetric matrix (read off each
+row's nonzero off-diagonal entries).
 
 All arithmetic is exact: matrix entries are Python ints (arbitrary
 precision, so products can never silently wrap) and rationals are
@@ -15,6 +17,22 @@ from typing import Iterable, Sequence
 
 class DimensionMismatch(ValueError):
     """Operands have incompatible sizes."""
+
+
+@dataclass(frozen=True)
+class SearchBudget:
+    """Limits for the exhaustive search; exceeding either aborts the run
+    (reported as Aborted, never conflated with Infeasible).  The
+    re-verification of the witnesses found gets a second ``max_seconds``."""
+
+    max_nodes: int = 100_000_000
+    max_seconds: float | None = 60.0
+
+    def __post_init__(self):
+        if not self.max_nodes > 0:
+            raise ValueError("max_nodes must be positive")
+        if self.max_seconds is not None and not self.max_seconds > 0:
+            raise ValueError("max_seconds must be positive or None")
 
 
 @dataclass(frozen=True)
@@ -258,6 +276,30 @@ def square(M: IntMatrix) -> IntMatrix:
                 acc[j] += a * b
         out.append(tuple(acc))
     return IntMatrix(tuple(out))
+
+
+def _nonzero(rows: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """Each row's nonzero off-diagonal entries as (index, entry) pairs."""
+    return [[(u, x) for u, x in enumerate(row) if x and u != v] for v, row in enumerate(rows)]
+
+
+def _component_labels(nonzero: Sequence[Sequence[tuple[int, int]]]) -> tuple[list[int], int]:
+    """Support-component label of each index and the component count, from
+    the ``_nonzero`` rows of a symmetric matrix.  Labels run 0..count-1 in
+    order of each component's lowest index."""
+    label = [-1] * len(nonzero)
+    count = 0
+    for start in range(len(nonzero)):
+        if label[start] < 0:
+            label[start] = count
+            component = [start]
+            for v in component:
+                for u, _ in nonzero[v]:
+                    if label[u] < 0:
+                        label[u] = count
+                        component.append(u)
+            count += 1
+    return label, count
 
 
 def _squares_to(adj: Sequence[int], rows: Sequence[Sequence[int]]) -> bool:

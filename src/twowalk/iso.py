@@ -6,16 +6,17 @@ matrix; the entries of a matrix act as edge colors).
 Each side is read once into a sparse form: its diagonal and each row's
 nonzero off-diagonal entries as (index, entry) pairs; once refinement
 has passed, the target side's rows also become dicts.  A matrix is read
-off its rows; a graph is read straight from its edge set, so no dense
-matrix is built.  The engine, ``_find_mapping``, is color refinement
-followed by backtracking: vertices start with colors (diagonal entry,
-support-component size), and colors are refined jointly on both sides
-by iterated multisets of (color, entry) over each row's nonzero
-entries; a depth-first search over the refined classes completes the
-mapping, testing each candidate against the nonzero entries alone.
-Everything is deterministic; no heuristic can produce a wrong answer,
-only a budget abort (raised as ``BudgetExhausted``, never conflated
-with "no mapping exists").
+off its rows (``core._nonzero``); a graph is read straight from its
+edge set, so no dense matrix is built.  The engine, ``_find_mapping``,
+is color refinement followed by backtracking: vertices start with
+colors (diagonal entry, size of the support component that
+``core._component_labels`` puts it in), and colors are refined jointly
+on both sides by iterated multisets of (color, entry) over each row's
+nonzero entries; a depth-first search over the refined classes
+completes the mapping, testing each candidate against the nonzero
+entries alone.  Everything is deterministic; no heuristic can produce
+a wrong answer, only a budget abort (raised as ``BudgetExhausted``,
+never conflated with "no mapping exists").
 """
 
 from __future__ import annotations
@@ -26,8 +27,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import DimensionMismatch, Graph, IntMatrix, Permutation
-from .realize import SearchBudget
+from .core import (
+    DimensionMismatch,
+    Graph,
+    IntMatrix,
+    Permutation,
+    SearchBudget,
+    _component_labels,
+    _nonzero,
+)
 
 
 class BudgetExhausted(RuntimeError):
@@ -52,8 +60,7 @@ class _Side(NamedTuple):
 
 def _matrix_side(M: IntMatrix) -> _Side:
     rows = M.rows
-    return _Side([row[v] for v, row in enumerate(rows)],
-                 [[(u, x) for u, x in enumerate(row) if x and u != v] for v, row in enumerate(rows)])
+    return _Side([row[v] for v, row in enumerate(rows)], _nonzero(rows))
 
 
 def _graph_side(G: Graph) -> _Side:
@@ -63,25 +70,6 @@ def _graph_side(G: Graph) -> _Side:
         nonzero[i].append((j, 1))
         nonzero[j].append((i, 1))
     return _Side([0] * G.n, nonzero)
-
-
-def _component_sizes(nonzero: list[list[tuple[int, int]]]) -> list[int]:
-    """Size of each index's support component, labelled from the lowest
-    unlabelled index outward along the nonzero entries."""
-    size = [0] * len(nonzero)
-    for start in range(len(nonzero)):
-        if size[start]:
-            continue
-        size[start] = -1
-        component = [start]
-        for v in component:
-            for u, _ in nonzero[v]:
-                if not size[u]:
-                    size[u] = -1
-                    component.append(u)
-        for v in component:
-            size[v] = len(component)
-    return size
 
 
 def _signatures(nonzero: list[list[tuple[int, int]]], colors: list[int]) -> list[tuple]:
@@ -95,7 +83,13 @@ def _refine(a: _Side, b: _Side) -> tuple[list[int], list[int]] | None:
     None when the color histograms separate (no mapping can exist).  The
     class sizes match on both sides before every round and fix each
     index's zero entries per class, so this refines as whole rows would."""
-    keys = [list(zip(s.diag, _component_sizes(s.nonzero))) for s in (a, b)]
+    keys = []
+    for side in (a, b):
+        label, count = _component_labels(side.nonzero)
+        size = [0] * count
+        for c in label:
+            size[c] += 1
+        keys.append([(d, size[c]) for d, c in zip(side.diag, label)])
     classes = 0
     while True:
         palette = {key: idx for idx, key in enumerate(sorted(set(keys[0]) | set(keys[1])))}

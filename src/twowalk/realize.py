@@ -17,29 +17,13 @@ from typing import Iterator
 
 from . import _search_py
 from .analysis import necessary_conditions
-from .core import Graph, IntMatrix, _squares_to, graph_from_edges
+from .core import Graph, IntMatrix, SearchBudget, _squares_to, graph_from_edges
 from .formats import graph_json_dict
 
 
 def search_backend() -> str:
     """Name of the search kernel: always 'python'."""
     return _search_py.KERNEL_NAME
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Limits for the exhaustive search; exceeding either aborts the run
-    (reported as Aborted, never conflated with Infeasible).  The
-    re-verification of the witnesses found gets a second ``max_seconds``."""
-
-    max_nodes: int = 100_000_000
-    max_seconds: float | None = 60.0
-
-    def __post_init__(self):
-        if not self.max_nodes > 0:
-            raise ValueError("max_nodes must be positive")
-        if self.max_seconds is not None and not self.max_seconds > 0:
-            raise ValueError("max_seconds must be positive or None")
 
 
 class RealizationVerdict(Enum):

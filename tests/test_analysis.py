@@ -61,6 +61,80 @@ class TestSupportComponents:
         assert parts.component_count == 2
 
 
+def random_symmetric(rng, n, high, density):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.randint(0, high)
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                rows[i][j] = rows[j][i] = rng.randint(0, high)
+    return rows
+
+
+def full_scan_reference(rows):
+    """The common-neighbor violation and the four-cycle pair sum read off
+    every ordered pair (i, j), i != j, in row-major order."""
+    n = len(rows)
+    diag = [rows[i][i] for i in range(n)]
+    viol = next(((i, j) for i in range(n) for j in range(n)
+                 if i != j and rows[i][j] > min(diag[i], diag[j])), None)
+    pair_sum = sum(rows[i][j] * (rows[i][j] - 1) // 2
+                   for i in range(n) for j in range(n) if i != j)
+    return viol, pair_sum
+
+
+class TestUnorderedPairScans:
+    """The battery reads each unordered pair once; on symmetric rows its
+    reports match a scan over every ordered pair."""
+
+    def test_random_symmetric_matrices_match_a_full_scan(self):
+        rng = random.Random(15)
+        violations = 0
+        for _ in range(600):
+            rows = random_symmetric(rng, rng.randint(1, 9), rng.choice((2, 4, 8)), 0.6)
+            viol, pair_sum = full_scan_reference(rows)
+            checks = necessary_conditions(rows).checks()
+            cn = checks["common_neighbor_bound"]
+            assert cn.passed == (viol is None)
+            if viol is not None:
+                violations += 1
+                i, j = viol
+                assert i < j
+                assert cn.reason.startswith(f"s_{i + 1},{j + 1}={rows[i][j]} exceeds ")
+            assert count_c4(IntMatrix.from_rows(rows)).pair_sum == pair_sum
+            assert str(pair_sum) in checks["c4_divisible_by_4"].reason
+        assert violations > 100
+
+
+def reference_labels(rows):
+    """Support-component labels by a BFS over dense rows, numbered in
+    order of each component's lowest index."""
+    n = len(rows)
+    label = [-1] * n
+    count = 0
+    for start in range(n):
+        if label[start] == -1:
+            label[start] = count
+            queue = [start]
+            for v in queue:
+                for u in range(n):
+                    if u != v and rows[v][u] and label[u] == -1:
+                        label[u] = count
+                        queue.append(u)
+            count += 1
+    return label, count
+
+
+class TestComponentLabels:
+    def test_random_symmetric_matrices_match_a_dense_bfs(self):
+        rng = random.Random(16)
+        for _ in range(500):
+            rows = random_symmetric(rng, rng.randint(0, 12), 3, rng.choice((0.05, 0.15, 0.4)))
+            label, count = reference_labels(rows)
+            parts = support_components(IntMatrix.from_rows(rows))
+            assert (list(parts.component_of), parts.component_count) == (label, count)
+
+
 class TestBipartiteOrDisconnected:
     def test_examples(self):
         assert is_bipartite_or_disconnected(sq(cycle(6))) is True

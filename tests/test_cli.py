@@ -286,6 +286,21 @@ class TestBudgetOptions:
         assert code == 2
         assert "must be positive" in err
 
+    @pytest.mark.parametrize("command", ["square", "analyze", "count-c4", "double-cover", "union"])
+    @pytest.mark.parametrize("option", [["--max-nodes", "-5"], ["--max-seconds", "1"]])
+    def test_commands_without_a_search_refuse_budget_options(self, command, option, c3_file,
+                                                             tmp_path, capsys):
+        s = tmp_path / "s.json"
+        s.write_text("[[0]]")
+        inputs = {"square": [c3_file], "analyze": [str(s)], "count-c4": [str(s)],
+                  "double-cover": [c3_file], "union": [c3_file, c3_file]}[command]
+        assert main([command, *inputs]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestPipelines:
     def test_square_pipes_into_realize_in_process(self, monkeypatch, capsys):

@@ -96,6 +96,18 @@ class TestIsBipartite:
             for G in all_graphs(n):
                 assert (is_bipartite(G) is not None) == two_colorable_oracle(G)
 
+    def test_coloring_is_proper_and_roots_are_zero(self):
+        # a proper 2-coloring of a component is fixed by its lowest vertex's color
+        for n in range(7):
+            for G in all_graphs(n):
+                coloring = is_bipartite(G)
+                if coloring is None:
+                    continue
+                assert all(coloring[i] != coloring[j] for i, j in G.edges)
+                label = support_components(adjacency_matrix(G)).component_of
+                roots = {label.index(c) for c in set(label)}
+                assert all(coloring[r] == 0 for r in roots)
+
     def test_coloring_blocks_the_matrix(self):
         G = graph_from_edges(5, [(0, 3), (3, 1), (1, 4), (4, 2)])
         coloring = is_bipartite(G)
