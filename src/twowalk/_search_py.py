@@ -114,7 +114,7 @@ from functools import lru_cache
 from itertools import chain, product
 from operator import mul
 
-from .core import _component_labels, _nonzero, _squares_to
+from .core import _component_labels, _squares_to, _support
 
 KERNEL_NAME = "python"
 
@@ -149,7 +149,7 @@ def run_search(
     unbudgeted order.
     """
     deadline = time.monotonic() + time_limit if time_limit > 0 else 0.0
-    label, count = _component_labels(_nonzero(s))
+    label, count = _component_labels(_support(s))
     comps: list[list[int]] = [[] for _ in range(count)]
     for v, c in enumerate(label):
         comps[c].append(v)

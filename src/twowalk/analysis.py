@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import accumulate
+from operator import gt
 from typing import Sequence
 
 from .core import (
@@ -20,7 +22,7 @@ from .core import (
     _component_labels,
     _matrix_problem,
     _negative_entry,
-    _nonzero,
+    _support,
 )
 
 
@@ -55,7 +57,7 @@ def support_components(S: IntMatrix) -> IndexPartition:
     off-blocks exactly when component_count ≥ 2.
     """
     _require_symmetric(S, "support_components")
-    label, count = _component_labels(_nonzero(S.rows))
+    label, count = _component_labels(_support(S.rows))
     return IndexPartition(tuple(label), count)
 
 
@@ -127,23 +129,6 @@ def _c4_pair_sum(rows: Sequence[Sequence[int]]) -> int:
     return total
 
 
-def _sums_of_size(values: Sequence[int], k: int, limit: int) -> int:
-    """Bitmask of every sum <= `limit` of a sub-multiset of `values` with
-    exactly k elements (bit t set: t is reachable).  Bitset DP over
-    (count, sum); sums only grow, so cutting at `limit` loses none below."""
-    if k > len(values):
-        return 0
-    mask = (1 << (limit + 1)) - 1
-    dp = [0] * (k + 1)
-    dp[0] = 1
-    for v in values:
-        if v > limit:
-            continue
-        for c in range(k, 0, -1):
-            dp[c] = (dp[c] | (dp[c - 1] << v)) & mask
-    return dp[k]
-
-
 @dataclass(frozen=True)
 class RowSummary:
     index: int
@@ -199,15 +184,58 @@ def _rows_multiset_feasible(diag: Sequence[int], sums: Sequence[int]) -> list[bo
     entries (one occurrence of s_ii removed: a vertex is not its own
     neighbor) so that they sum to the full row sum?
 
-    The other entries are the whole diagonal minus one copy of s_ii, so
-    rows with equal s_ii share them: one DP per distinct diagonal value,
-    up to the largest row sum among its rows, answers every such row."""
-    reachable = {}
-    for d in set(diag):
-        i = diag.index(d)
-        limit = max(s for dd, s in zip(diag, sums) if dd == d)
-        reachable[d] = _sums_of_size(diag[:i] + diag[i + 1:], d, limit)
-    return [reachable[d] >> s & 1 == 1 for d, s in zip(diag, sums)]
+    A row fails at once when s_ii > n − 1 (too few others) or its sum
+    exceeds that of the s_ii largest others.  The rest share one DP over
+    (count, sum) pairs packed into one int: bit c·W + t is set when some
+    c of the values added so far sum to t, for t up to L, the largest sum
+    still open.  W = L + 1 + V, V the largest value kept (a value above L
+    is never picked), so no slot carries into the next, and adding v is
+    ``(dp | dp << (W + v)) & mask``.  The leave-one-out is divide and
+    conquer over the open rows' distinct diagonal values: start from the
+    diagonal minus one copy of each, and recurse into each half after
+    adding the other half's single copies, so the leaf of d is the
+    diagonal minus one copy of d, and a row of diagonal d and sum t reads
+    bit d·W + t there.  That is O(n + D log D) additions for D distinct
+    values, each O(n·L) bit operations."""
+    n = len(diag)
+    largest = list(accumulate(sorted(diag, reverse=True), initial=0))
+    feasible = [False] * n
+    # the s_ii largest others are the s_ii largest entries, or the s_ii + 1
+    # largest less s_ii itself when s_ii is among them: the smaller sum
+    open_rows = [i for i, (d, t) in enumerate(zip(diag, sums))
+                 if d < n and t <= min(largest[d], largest[d + 1] - d)]
+    if not open_rows:
+        return feasible
+    limit = max([sums[i] for i in open_rows])
+    wanted = sorted({diag[i] for i in open_rows})
+    kept = [v for v in diag if v <= limit]
+    width = limit + 1 + max(kept, default=0)
+    low = (1 << limit + 1) - 1
+    mask = sum(low << c * width for c in range(wanted[-1] + 1))
+    for d in wanted:
+        if d <= limit:
+            kept.remove(d)
+    dp = 1
+    for v in kept:
+        dp = (dp | dp << width + v) & mask
+    leaf = {}
+    stack = [(dp, wanted)]
+    while stack:
+        dp, values = stack.pop()
+        if len(values) == 1:
+            leaf[values[0]] = dp
+            continue
+        half = len(values) // 2
+        for part, other in ((values[:half], values[half:]), (values[half:], values[:half])):
+            sub = dp
+            for v in other:
+                if v <= limit:
+                    sub = (sub | sub << width + v) & mask
+            stack.append((sub, part))
+    for i in open_rows:
+        d = diag[i]
+        feasible[i] = leaf[d] >> d * width + sums[i] & 1 == 1
+    return feasible
 
 
 def row_sum_report(S: IntMatrix) -> RowSumReport:
@@ -364,6 +392,19 @@ def necessary_conditions(S) -> ConditionReport:
     return ConditionReport(**{name: checks.get(name, skipped) for name in _CHECK_NAMES})
 
 
+def _common_neighbor_excess(rows: Sequence[Sequence[int]],
+                            diag: Sequence[int]) -> tuple[int, int] | None:
+    """The first (i, j) in row-major order with i < j and
+    s_ij > min(s_ii, s_jj), or None; ``rows`` is symmetric, so no pair
+    below the diagonal is needed.  A row tail is tested whole against
+    both bounds; only a row that fails is read entry by entry."""
+    for i, row in enumerate(rows):
+        tail = row[i + 1:]
+        if tail and (max(tail) > diag[i] or any(map(gt, tail, diag[i + 1:]))):
+            return i, next(j for j in range(i + 1, len(row)) if row[j] > min(diag[i], diag[j]))
+    return None
+
+
 def _square_checks(rows: tuple[tuple[int, ...], ...]) -> dict[str, CheckResult]:
     """The checks that need a symmetric nonnegative matrix."""
     n = len(rows)
@@ -377,16 +418,7 @@ def _square_checks(rows: tuple[tuple[int, ...], ...]) -> dict[str, CheckResult]:
             False, f"s_{big + 1},{big + 1}={diag[big]} exceeds n-1={n - 1} (a degree cannot)"
         )
 
-    # rows are symmetric, so the first violation in row-major order has i < j
-    viol = next(
-        (
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rows[i][j] > min(diag[i], diag[j])
-        ),
-        None,
-    )
+    viol = _common_neighbor_excess(rows, diag)
     if viol is None:
         cn_bound = CheckResult(True, "every off-diagonal entry is at most min of its two diagonals")
     else:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .core import Graph, IntMatrix, _component_labels, adjacency_matrix, graph_from_edges, square
 from .formats import graph_json_dict
-from .iso import BudgetExhausted, IsoBudget, _graph_side, are_isomorphic, permutation_similar
+from .iso import BudgetExhausted, IsoBudget, are_isomorphic, permutation_similar
 from .realize import verify
 
 __all__ = [
@@ -52,7 +52,7 @@ def is_bipartite(G: Graph) -> list[int] | None:
     vertices by color class block-antidiagonalizes the adjacency matrix.
     """
     n = G.n
-    label, _ = _component_labels(_graph_side(bipartite_double_cover(G)).nonzero)
+    label, _ = _component_labels(bipartite_double_cover(G).adjacency_sets())
     if any(label[v] == label[n + v] for v in range(n)):
         return None
     return [int(label[v] > label[n + v]) for v in range(n)]

@@ -1,7 +1,7 @@
 """Exact graph / integer-matrix value types and the operations shared by
 every other module: the search budget, the square and its popcount
-check, and the support components of a symmetric matrix (read off each
-row's nonzero off-diagonal entries).
+check, and the support components of a symmetric matrix (read off the
+indices of each row's nonzero entries).
 
 All arithmetic is exact: matrix entries are Python ints (arbitrary
 precision, so products can never silently wrap) and rationals are
@@ -12,7 +12,8 @@ precision, so products can never silently wrap) and rationals are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -115,10 +116,14 @@ def _negative_entry(rows: Sequence[Sequence[int]]) -> tuple[int, int] | None:
 
 
 def _asymmetric_pair(rows: Sequence[Sequence[int]]) -> tuple[int, int] | None:
-    """The first (i, j) with i < j and rows[i][j] != rows[j][i], or None."""
-    n = len(rows)
-    pairs = ((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] != rows[j][i])
-    return next(pairs, None)
+    """The first (i, j) with i < j and rows[i][j] != rows[j][i], or None;
+    ``rows`` is a square matrix of ints.  Row i is compared with column i
+    whole; a difference left of the diagonal would have shown in an
+    earlier row, so the first row that differs does so right of it."""
+    for i, (row, col) in enumerate(zip(rows, zip(*rows))):
+        if tuple(row) != col:
+            return i, next(j for j in range(i + 1, len(col)) if row[j] != col[j])
+    return None
 
 
 @dataclass(frozen=True)
@@ -278,23 +283,27 @@ def square(M: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(out))
 
 
-def _nonzero(rows: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
-    """Each row's nonzero off-diagonal entries as (index, entry) pairs."""
-    return [[(u, x) for u, x in enumerate(row) if x and u != v] for v, row in enumerate(rows)]
+def _support(rows: Sequence[Sequence[int]]) -> list[Iterator[int]]:
+    """Each row's support, the indices of its nonzero entries, for
+    ``_component_labels``: one-shot iterators that list v itself when
+    s_vv ≠ 0, which the labelling skips as already labelled."""
+    indices = range(len(rows))
+    return [compress(indices, row) for row in rows]
 
 
-def _component_labels(nonzero: Sequence[Sequence[tuple[int, int]]]) -> tuple[list[int], int]:
+def _component_labels(adjacent: Sequence[Iterable[int]]) -> tuple[list[int], int]:
     """Support-component label of each index and the component count, from
-    the ``_nonzero`` rows of a symmetric matrix.  Labels run 0..count-1 in
+    each index's support neighbors in a symmetric matrix (each row is
+    read once, so one-shot iterators will do).  Labels run 0..count-1 in
     order of each component's lowest index."""
-    label = [-1] * len(nonzero)
+    label = [-1] * len(adjacent)
     count = 0
-    for start in range(len(nonzero)):
+    for start in range(len(adjacent)):
         if label[start] < 0:
             label[start] = count
             component = [start]
             for v in component:
-                for u, _ in nonzero[v]:
+                for u in adjacent[v]:
                     if label[u] < 0:
                         label[u] = count
                         component.append(u)

@@ -202,7 +202,7 @@ def parse_matrix_text(text: str) -> IntMatrix:
         if len(toks) != n:
             raise FormatError(f"expected {n} entries, got {len(toks)}", line=lineno)
         try:
-            row = [int(t) for t in toks]
+            row = list(map(int, toks))
         except ValueError:
             raise FormatError(f"non-integer entry in row {line!r}", line=lineno) from None
         rows.append(row)

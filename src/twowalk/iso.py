@@ -4,10 +4,9 @@ between symmetric integer matrices (a graph is its 0/1 adjacency
 matrix; the entries of a matrix act as edge colors).
 
 Each side is read once into a sparse form: its diagonal and each row's
-nonzero off-diagonal entries as (index, entry) pairs; once refinement
-has passed, the target side's rows also become dicts.  A matrix is read
-off its rows (``core._nonzero``); a graph is read straight from its
-edge set, so no dense matrix is built.  The engine, ``_find_mapping``,
+nonzero off-diagonal entries as a dict from index to entry.  A matrix
+is read off its rows, a graph straight from its edge set, so no dense
+matrix is built.  The engine, ``_find_mapping``,
 is color refinement followed by backtracking: vertices start with
 colors (diagonal entry, size of the support component that
 ``core._component_labels`` puts it in), and colors are refined jointly
@@ -34,7 +33,6 @@ from .core import (
     Permutation,
     SearchBudget,
     _component_labels,
-    _nonzero,
 )
 
 
@@ -52,29 +50,30 @@ class IsoBudget(SearchBudget):
 
 class _Side(NamedTuple):
     """One side of a mapping search: the diagonal, and each row's nonzero
-    off-diagonal entries as (index, entry) pairs."""
+    off-diagonal entries as a dict from index to entry."""
 
     diag: list[int]
-    nonzero: list[list[tuple[int, int]]]
+    nonzero: list[dict[int, int]]
 
 
 def _matrix_side(M: IntMatrix) -> _Side:
     rows = M.rows
-    return _Side([row[v] for v, row in enumerate(rows)], _nonzero(rows))
+    return _Side([row[v] for v, row in enumerate(rows)],
+                 [{u: x for u, x in enumerate(row) if x and u != v} for v, row in enumerate(rows)])
 
 
 def _graph_side(G: Graph) -> _Side:
     """The side of G's adjacency matrix, from the edge set in O(n + m)."""
-    nonzero: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
+    nonzero: list[dict[int, int]] = [{} for _ in range(G.n)]
     for i, j in G.edges:
-        nonzero[i].append((j, 1))
-        nonzero[j].append((i, 1))
+        nonzero[i][j] = 1
+        nonzero[j][i] = 1
     return _Side([0] * G.n, nonzero)
 
 
-def _signatures(nonzero: list[list[tuple[int, int]]], colors: list[int]) -> list[tuple]:
+def _signatures(nonzero: list[dict[int, int]], colors: list[int]) -> list[tuple]:
     """Each index's color and the multiset of (color, entry) of its row."""
-    return [(colors[v], tuple(sorted([(colors[u], x) for u, x in row])))
+    return [(colors[v], tuple(sorted([(colors[u], x) for u, x in row.items()])))
             for v, row in enumerate(nonzero)]
 
 
@@ -102,7 +101,7 @@ def _refine(a: _Side, b: _Side) -> tuple[list[int], list[int]] | None:
         keys = [_signatures(s.nonzero, col) for s, col in ((a, col_a), (b, col_b))]
 
 
-def _search_order(nonzero: list[list[tuple[int, int]]], colors: list[int]) -> list[int]:
+def _search_order(nonzero: list[dict[int, int]], colors: list[int]) -> list[int]:
     """Deterministic vertex order: most already-ordered support-neighbors
     first, then rarest color, then index.  A vertex's key only falls as
     its neighbors are ordered, so its newest heap entry is its smallest
@@ -119,18 +118,17 @@ def _search_order(nonzero: list[list[tuple[int, int]]], colors: list[int]) -> li
             continue
         ordered.append(v)
         placed[v] = True
-        for u, _ in nonzero[v]:
+        for u in nonzero[v]:
             if not placed[u]:
                 anchored[u] += 1
                 heapq.heappush(heap, (-anchored[u], class_size[colors[u]], u))
     return ordered
 
 
-def _search(a: _Side, b: _Side, entry_b: list[dict[int, int]], col_a: list[int],
-            col_b: list[int], budget: IsoBudget) -> list[int] | None:
+def _search(a: _Side, b: _Side, col_a: list[int], col_b: list[int],
+            budget: IsoBudget) -> list[int] | None:
     """Depth-first search for p with a's entries equal to b's under p,
-    over candidates of equal color; ``entry_b`` holds b's nonzero entries
-    as one dict per row.  The images as a list, or None."""
+    over candidates of equal color.  The images as a list, or None."""
     n = len(col_a)
     by_color: dict[int, list[int]] = {}
     for x in range(n):
@@ -142,7 +140,7 @@ def _search(a: _Side, b: _Side, entry_b: list[dict[int, int]], col_a: list[int],
         depth_of[u] = depth
     # the vertices mapped before depth d are exactly order[:d], so the
     # nonzero entries of order[d] that a candidate must match are fixed
-    back = [[(v, x) for v, x in a.nonzero[u] if depth_of[v] < depth]
+    back = [[(v, x) for v, x in a.nonzero[u].items() if depth_of[v] < depth]
             for depth, u in enumerate(order)]
     nonzero_b = b.nonzero
     mapped_nb = [0] * n  # how many of each b-vertex's nonzero entries sit at used vertices
@@ -162,7 +160,7 @@ def _search(a: _Side, b: _Side, entry_b: list[dict[int, int]], col_a: list[int],
             x = mapping[u]
             used[x] = False
             mapping[u] = -1
-            for w, _ in nonzero_b[x]:
+            for w in nonzero_b[x]:
                 mapped_nb[w] -= 1
         need = back[depth]
         cands = by_color.get(col_a[u], ())
@@ -181,14 +179,14 @@ def _search(a: _Side, b: _Side, entry_b: list[dict[int, int]], col_a: list[int],
             # x has no other nonzero at a used vertex: the dense row test
             if mapped_nb[x] != len(need):
                 continue
-            ex = entry_b[x]
+            ex = nonzero_b[x]
             for v, e in need:
                 if ex.get(mapping[v]) != e:
                     break
             else:
                 mapping[u] = x
                 used[x] = True
-                for w, _ in nonzero_b[x]:
+                for w in nonzero_b[x]:
                     mapped_nb[w] += 1
                 break
         if mapping[u] != -1:
@@ -202,14 +200,14 @@ def _search(a: _Side, b: _Side, entry_b: list[dict[int, int]], col_a: list[int],
     return mapping
 
 
-def _is_witness(a: _Side, b: _Side, entry_b: list[dict[int, int]], mapping: list[int]) -> bool:
+def _is_witness(a: _Side, b: _Side, mapping: list[int]) -> bool:
     """Whether a's entries equal b's under the injective ``mapping``:
     equal diagonals and nonzero counts, and every nonzero of a found in b."""
     for i, p in enumerate(mapping):
-        row_b = entry_b[p]
+        row_b = b.nonzero[p]
         if a.diag[i] != b.diag[p] or len(a.nonzero[i]) != len(row_b):
             return False
-        for j, x in a.nonzero[i]:
+        for j, x in a.nonzero[i].items():
             if row_b.get(mapping[j]) != x:
                 return False
     return True
@@ -219,13 +217,12 @@ def _find_mapping(a: _Side, b: _Side, budget: IsoBudget | None) -> Permutation |
     refined = _refine(a, b)
     if refined is None:
         return None
-    entry_b = [dict(row) for row in b.nonzero]
-    mapping = _search(a, b, entry_b, *refined, budget or IsoBudget())
+    mapping = _search(a, b, *refined, budget or IsoBudget())
     if mapping is None:
         return None
     p = Permutation(tuple(mapping))
     # not an assert: the guarantee must hold under python -O too
-    if not _is_witness(a, b, entry_b, mapping):
+    if not _is_witness(a, b, mapping):
         raise AssertionError("mapping search returned a non-witness; engine bug")
     return p
 

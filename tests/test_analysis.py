@@ -20,6 +20,8 @@ from twowalk import (
     square,
     support_components,
 )
+from twowalk.analysis import _c4_pair_sum, _common_neighbor_excess, _rows_multiset_feasible
+from twowalk.core import _asymmetric_pair, _matrix_problem
 from conftest import (
     all_graphs,
     bipartite_or_disconnected_oracle,
@@ -218,22 +220,57 @@ class TestRowSumReport:
         assert not report.rows[1].multiset_feasible
 
     def test_multiset_flags_match_subset_oracle(self, rng):
-        """Rows sharing a diagonal value share one DP; every flag must still
-        equal the direct search over sub-multisets of the other entries."""
-        for _ in range(150):
-            n = rng.randrange(1, 8)
-            diag = [rng.randrange(min(n, 3)) for _ in range(n)]
+        """One packed DP answers every row; each flag must still equal the
+        direct search over sub-multisets of the other entries, also with
+        diagonal entries above n − 1, row sums above every reachable sum,
+        and enough distinct diagonal values to split three levels deep."""
+
+        def oracle(diag, sums):
+            return [
+                any(sum(c) == t for c in itertools.combinations(diag[:i] + diag[i + 1:], d))
+                for i, (d, t) in enumerate(zip(diag, sums))
+            ]
+
+        deep = 0
+        for case in range(300):
+            n = case % 12
+            diag = [rng.randrange(min(n, 3) if case % 3 == 0 else n + 3) for _ in range(n)]
             rows = [[0] * n for _ in range(n)]
             for i in range(n):
                 rows[i][i] = diag[i]
                 for j in range(i + 1, n):
                     rows[i][j] = rows[j][i] = rng.randrange(min(diag[i], diag[j]) + 2)
-            for r in row_sum_report(IntMatrix.from_rows(rows)).rows:
-                others = diag[:r.index] + diag[r.index + 1:]
-                expected = any(
-                    sum(c) == r.row_sum for c in itertools.combinations(others, r.diagonal)
-                )
-                assert r.multiset_feasible == expected
+            report = row_sum_report(IntMatrix.from_rows(rows))
+            sums = [r.row_sum for r in report.rows]
+            assert [r.multiset_feasible for r in report.rows] == oracle(diag, sums)
+            # sums drawn freely, past the largest reachable one included
+            sums = [rng.randrange(2 * sum(diag) + 2) for _ in range(n)]
+            assert _rows_multiset_feasible(diag, sums) == oracle(diag, sums)
+            deep += len(set(diag)) >= 5
+        assert deep >= 50
+        ladder = list(range(11))
+        for sums in ([45, 44, 10, 55, 0, 20, 30, 40, 49, 50, 54], list(range(0, 110, 10))):
+            assert _rows_multiset_feasible(ladder, sums) == oracle(ladder, sums)
+        assert _rows_multiset_feasible([], []) == []
+        assert row_sum_report(IntMatrix.zeros(0)).rows == ()
+
+    def test_huge_row_sums_cost_no_memory(self):
+        """A row sum that no s_ii others can reach is settled before the DP,
+        whose bitsets would otherwise grow with that sum (10^12 bits here)."""
+        report = necessary_conditions(IntMatrix.from_rows([[0, 10**12], [10**12, 0]]))
+        checks = report.to_json_dict()["checks"]
+        assert not report.overall
+        assert report.failed_names() == ["common_neighbor_bound", "rowsum_multiset_feasible"]
+        assert checks["rowsum_multiset_feasible"]["reason"] == (
+            "multiset check fails at v1, v2: no sub-multiset of the other diagonal "
+            "entries with the diagonal's size sums to the row sum"
+        )
+        assert checks["c4_divisible_by_4"]["reason"] == (
+            "Σ C(s_ij,2) = 999999999999000000000000 is divisible by 4 "
+            "(249999999999750000000000 four-cycles)"
+        )
+        huge = row_sum_report(IntMatrix.from_rows([[1, 10**12], [10**12, 1]]))
+        assert [r.multiset_feasible for r in huge.rows] == [False, False]
 
     def test_row_sums_match_neighbor_degree_oracle(self, rng):
         for n in range(6):
@@ -351,3 +388,80 @@ class TestNecessaryConditions:
     @settings(max_examples=80, deadline=None)
     def test_never_raises_on_square_input(self, rows):
         necessary_conditions(rows)
+
+
+def _random_rows(rng, n, kind):
+    """A raw n × n input of one kind: symmetric nonnegative, asymmetric,
+    with negatives, with bools, with floats, or ragged."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.randrange(n + 1)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.randrange(n + 1)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    for i, j in rng.sample(cells, min(len(cells), rng.randrange(4))):
+        if kind == "asymmetric":
+            rows[i][j] += 1
+        elif kind == "negative":
+            rows[i][j] = -rows[i][j] - 1
+        elif kind == "bool":
+            rows[i][j] = rng.random() < 0.5
+        elif kind == "float":
+            rows[i][j] = rows[i][j] + 0.5
+    if kind == "ragged" and n:
+        for i in rng.sample(range(n), rng.randrange(1, n + 1)):
+            rows[i] = rows[i][:rng.randrange(n)] if rng.random() < 0.5 else rows[i] + [1]
+    return tuple(tuple(row) for row in rows)
+
+
+class TestRowScans:
+    """The battery's row-level scans name the same first offender as plain
+    row-major scans over single entries."""
+
+    KINDS = ("symmetric", "asymmetric", "negative", "bool", "float", "ragged")
+
+    @staticmethod
+    def matrix_problem(rows):
+        n = len(rows)
+        for i, row in enumerate(rows, 1):
+            if len(row) != n:
+                return f"row {i} has length {len(row)}, expected {n}"
+            for j, x in enumerate(row, 1):
+                if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
+                    return f"entry at row {i}, column {j} is not an integer"
+        return None
+
+    @staticmethod
+    def asymmetric_pair(rows):
+        n = len(rows)
+        return next(((i, j) for i in range(n) for j in range(i + 1, n)
+                     if rows[i][j] != rows[j][i]), None)
+
+    @staticmethod
+    def common_neighbor_excess(rows, diag):
+        n = len(rows)
+        return next(((i, j) for i in range(n) for j in range(i + 1, n)
+                     if rows[i][j] > min(diag[i], diag[j])), None)
+
+    @staticmethod
+    def c4_pair_sum(rows):
+        n = len(rows)
+        return sum(rows[i][j] * (rows[i][j] - 1) for i in range(n) for j in range(i + 1, n))
+
+    def test_first_offender_matches_entrywise_scan(self, rng):
+        seen = {kind: 0 for kind in self.KINDS}
+        for case in range(1200):
+            kind = self.KINDS[case % len(self.KINDS)]
+            rows = _random_rows(rng, rng.randrange(8), kind)
+            assert _matrix_problem(rows) == self.matrix_problem(rows), rows
+            if kind == "ragged":
+                seen[kind] += _matrix_problem(rows) is not None
+                continue
+            diag = [row[i] for i, row in enumerate(rows)]
+            got = (_asymmetric_pair(rows), _common_neighbor_excess(rows, diag), _c4_pair_sum(rows))
+            want = (self.asymmetric_pair(rows), self.common_neighbor_excess(rows, diag),
+                    self.c4_pair_sum(rows))
+            assert got == want, rows
+            seen[kind] += any(x is not None for x in (_matrix_problem(rows), *got[:2]))
+        # every kind of input produced offenders to name
+        assert min(seen.values()) >= 50, seen
