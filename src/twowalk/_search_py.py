@@ -72,23 +72,29 @@ completion events has the block's square equal to S on the block.
 
 **Commutation.**  A witness A of a block searched alone commutes with
 the block's matrix S, since A·A² = A²·A; so does A mod p, for the prime
-p = 2³¹ − 1.  If r, Sr, …, S^(n−1)r are independent mod p for a fixed
-vector r (a certificate that S is cyclic over F_p), the matrices that
-commute with S are exactly its polynomials (Horn & Johnson, *Matrix
-Analysis*, §3.2.4), and a zero diagonal leaves the coefficients c with
-Σ c_k (S^k)_ii = 0 for every i.  Let d be the nullity of that n × n
-system.  If d = 0, A ≡ 0, so the block has no witness (S is not zero).
-If d = 1, every witness is a multiple of C = Σ c_k S^k for one spanning
-c, so it has C's nonzero pattern (and C's nonzero entries are equal):
+p = 2³¹ − 1.  Let v_m = S^m r for a fixed vector r and K the matrix of
+columns v_0, …, v_(n−1).  If K is invertible mod p (a certificate that S
+is cyclic over F_p), the matrices that commute with S are exactly its
+polynomials (Horn & Johnson, *Matrix Analysis*, §3.2.4), and a zero
+diagonal leaves the coefficients c with Σ c_k (S^k)_ii = 0 for every i.
+No power of S is formed: S^k K has the columns v_k, …, v_(k+n−1), so in
+Krylov coordinates (S^k)_ii = Σ_j (K⁻¹)_ji v_(k+j)[i], and one reduction
+of [Kᵀ | I] gives both the certificate and K⁻¹.  Let d be the nullity of
+that n × n system.  If d = 0, A ≡ 0, so the block has no witness (S is
+not zero).  If d = 1, every witness is a multiple of C = Σ c_k S^k for
+one spanning c, so it has C's nonzero pattern (and C's nonzero entries
+are equal), where C_ij = Σ_l (K⁻¹)_lj w_l[i] with w_l = Σ_k c_k v_(k+l):
 that graph is the block's one witness if its exact square is S, and
 otherwise there is none.  A block that is not certified cyclic, or has
 d ≥ 2, stays undecided, as does one whose deadline passes between two
-matrix powers.  All of it is exact integer arithmetic mod p.  The test
-costs about n⁴/4 nodes' time on an n-vertex block, so a block searched
-alone runs it once, on its first node past n⁴ // 4, and a decided block
-ends there: on the ski-rental rule this at most about doubles a block's
-time, while a block done sooner never pays for it.  The algebra counts
-no nodes.  Cross blocks do not run it.
+Krylov steps or before a reduction.  All of it is exact integer
+arithmetic mod p; each sum over k is one product of packed ints, and the
+eliminations work on rows packed into one int each.  The test costs
+about n³ nodes' time on an n-vertex block, so a block searched alone
+runs it once, on its first node past n³, and a decided block ends there:
+on the ski-rental rule this at most about doubles a block's time, while
+a block done sooner never pays for it.  The algebra counts no nodes.
+Cross blocks do not run it.
 
 The block search (one value cursor and one "edge applied" flag per
 position) and the cover walk run on explicit stacks rather than by
@@ -284,7 +290,7 @@ class _Covers:
             if self.deadline and time.monotonic() > self.deadline:
                 raise _Stopped(HIT_TIME_BUDGET)
             room = self.cap - self.nodes
-            gate = len(side) ** 4 // 4 if d is None else room
+            gate = len(side) ** 3 if d is None else room
             status, found, nodes = _search(
                 local, _plan(*shape), room, self.deadline, self.limit, gate
             )
@@ -462,24 +468,68 @@ def _search(
             pos += 1
 
 
+def _pack(values: list[int], width: int) -> int:
+    """``values`` as one int of ``width``-bit slots, the first lowest."""
+    x = 0
+    for v in reversed(values):
+        x = x << width | v
+    return x
+
+
+def _slots(x: int, width: int, count: int) -> list[int]:
+    """The first ``count`` ``width``-bit slots of ``x``, each mod ``_PRIME``."""
+    mask = (1 << width) - 1
+    return [(x >> k * width & mask) % _PRIME for k in range(count)]
+
+
 def _reduce(rows: list[list[int]]) -> list[int]:
-    """Bring ``rows`` to reduced row echelon form mod ``_PRIME`` in place;
-    returns the pivot column of each nonzero row, in order."""
+    """Bring ``rows`` (entries in [0, p)) to reduced row echelon form mod
+    ``_PRIME`` in place; returns the pivot column of each nonzero row, in
+    order.
+
+    Each row is packed into one int of W-bit slots, so eliminating a
+    column from a row is one multiply-add with the pivot row negated mod
+    p, and a slot is reduced mod p only where it is read.  A row takes at
+    most one such step per pivot, each adding less than p² < 2⁶² to a
+    slot, so with W = 64 + bit_length(rows) + 2 no slot carries into the
+    next."""
+    count = len(rows[0])
+    width = 64 + len(rows).bit_length() + 2
+    mask = (1 << width) - 1
+    packed = [_pack(row, width) for row in rows]
+    primes = _pack([_PRIME] * count, width)
     pivots: list[int] = []
-    for c in range(len(rows[0])):
+    for c in range(count):
         r = len(pivots)
-        at = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if r == len(packed):
+            break
+        shift = c * width
+        column = [(x >> shift & mask) % _PRIME for x in packed]
+        at = next((i for i in range(r, len(packed)) if column[i]), None)
         if at is None:
             continue
-        rows[r], rows[at] = rows[at], rows[r]
-        inv = pow(rows[r][c], -1, _PRIME)
-        top = rows[r] = [x * inv % _PRIME for x in rows[r]]
-        for i, row in enumerate(rows):
-            f = row[c]
+        packed[r], packed[at] = packed[at], packed[r]
+        column[r], column[at] = column[at], column[r]
+        inv = pow(column[r], -1, _PRIME)
+        top = packed[r] = _pack([x * inv % _PRIME for x in _slots(packed[r], width, count)], width)
+        # every slot of p - top is ≡ -top mod p and positive, so no borrow
+        neg_top = primes - top
+        for i, f in enumerate(column):
             if f and i != r:
-                rows[i] = [(x - f * y) % _PRIME for x, y in zip(row, top)]
+                packed[i] += f * neg_top
         pivots.append(c)
+    for row, x in zip(rows, packed):
+        row[:] = _slots(x, width, count)
     return pivots
+
+
+def _correlate(a: int, b: list[int], width: int) -> list[int]:
+    """``out[k] = Σ_j b[j] a[k + j]`` mod p for k < len(b), where ``a``
+    holds its entries packed in ``width``-bit slots: one product of packed
+    ints (Kronecker substitution), since with b reversed ``out[k]`` is
+    slot k + len(b) - 1 of the product."""
+    product = a * _pack(b[::-1], width)
+    return _slots(product >> (len(b) - 1) * width, width, len(b))
 
 
 def _commuting_witness(s: list[list[int]], deadline: float) -> list[list[tuple[int, int]]] | None:
@@ -487,23 +537,35 @@ def _commuting_witness(s: list[list[int]], deadline: float) -> list[list[tuple[i
     (see the module docstring): None when it does not decide the block,
     else the block's witnesses, none or one, as sorted edge lists."""
     n = len(s)
-    # cyclicity certificate: a full-rank Krylov basis r, Sr, ..., S^(n-1) r
-    krylov = [[pow(3, v, _PRIME) for v in range(n)]]
-    for _ in range(n - 1):
-        r = krylov[-1]
-        krylov.append([sum(map(mul, row, r)) % _PRIME for row in s])
-    if len(_reduce(krylov)) < n:
-        return None
-    # S^0 .. S^(n-1); S is symmetric, so are its powers, and a row of S
-    # is also its column
-    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
-    while len(powers) < n:
+    # a slot of the packed products below sums at most n products of two
+    # numbers below p (so are S's entries), so it never carries
+    width = 62 + n.bit_length()
+    # S is symmetric, so its packed rows are its packed columns
+    columns = [_pack(row, width) for row in s]
+    # the Krylov vectors v_m = S^m r, m = 0 .. 2n - 2
+    v = [pow(3, k, _PRIME) for k in range(n)]
+    krylov = [v]
+    for _ in range(2 * n - 2):
         if deadline and time.monotonic() > deadline:
             return None
-        powers.append([[sum(map(mul, row, col)) % _PRIME for col in s] for row in powers[-1]])
+        v = _slots(sum(map(mul, v, columns)), width, n)
+        krylov.append(v)
+    if deadline and time.monotonic() > deadline:
+        return None
+    # [K^T | I] reduces to [I | K^-T] exactly when v_0 .. v_(n-1) are
+    # independent, which certifies S cyclic; then inv[i][j] = (K^-1)_ji
+    rows = [vm + [int(k == m) for k in range(n)] for m, vm in enumerate(krylov[:n])]
+    if _reduce(rows) != list(range(n)):
+        return None
+    inv = [row[n:] for row in rows]
+    # walks[i] packs v_0[i] .. v_(2n-2)[i]; S^k K = [v_k .. v_(k+n-1)], so
+    # (S^k)_ii = sum_j (K^-1)_ji v_(k+j)[i]
+    walks = [_pack(list(walk), width) for walk in zip(*krylov)]
+    system = [_correlate(walks[i], inv[i], width) for i in range(n)]
+    if deadline and time.monotonic() > deadline:
+        return None
     # the coefficients c with sum_k c_k (S^k)_ii = 0 for every i: only
     # c = 0 (nullity 0), or the multiples of one vector (nullity 1)
-    system = [[power[i][i] for power in powers] for i in range(n)]
     pivots = _reduce(system)
     c = [0] * n
     if len(pivots) == n - 1:
@@ -515,12 +577,15 @@ def _commuting_witness(s: list[list[int]], deadline: float) -> list[list[tuple[i
         return None
     # every witness is a multiple of C = sum_k c_k S^k, so it has C's
     # nonzero pattern: that graph is the only candidate (an exact square
-    # equal to S also implies that C's nonzero entries are equal)
+    # equal to S also implies that C's nonzero entries are equal).  With
+    # w_l = sum_k c_k v_(k+l), row i of C is sum_l w_l[i] times row l of K^-1
+    inv_rows = [_pack(list(row), width) for row in zip(*inv)]
     adj = [0] * n
     edges = []
     for i in range(n):
+        row = _slots(sum(map(mul, _correlate(walks[i], c, width), inv_rows)), width, n)
         for j in range(i + 1, n):
-            if sum(ck * power[i][j] for ck, power in zip(c, powers)) % _PRIME:
+            if row[j]:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
                 edges.append((i, j))

@@ -159,6 +159,70 @@ def square_witness_table(n: int) -> dict[tuple, list[list[tuple[int, int]]]]:
     return table
 
 
+PRIME = 2**31 - 1  # the modulus of the library's commutation test
+
+
+def plain_rref(rows: list[list[int]]) -> list[int]:
+    """Reduced row echelon form mod ``PRIME`` in place, one list entry at
+    a time; returns the pivot column of each nonzero row, in order."""
+    pivots: list[int] = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        at = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if at is None:
+            continue
+        rows[r], rows[at] = rows[at], rows[r]
+        inv = pow(rows[r][c], -1, PRIME)
+        top = rows[r] = [x * inv % PRIME for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % PRIME for x, y in zip(row, top)]
+        pivots.append(c)
+    return pivots
+
+
+def powers_commuting_witness(s: list[list[int]]) -> list[list[tuple[int, int]]] | None:
+    """The commutation test by the dense powers S^0 .. S^(n-1): None when
+    S is not certified cyclic or the diagonal system has nullity >= 2,
+    else the block's witnesses, none or one.  O(n^4); the reference the
+    library's Krylov-coordinate test is compared against."""
+    n = len(s)
+    krylov = [[pow(3, v, PRIME) for v in range(n)]]
+    for _ in range(n - 1):
+        r = krylov[-1]
+        krylov.append([sum(a * b for a, b in zip(row, r)) % PRIME for row in s])
+    if len(plain_rref(krylov)) < n:
+        return None
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    while len(powers) < n:
+        last = powers[-1]
+        powers.append(
+            [[sum(a * b for a, b in zip(row, col)) % PRIME for col in s] for row in last]
+        )
+    system = [[power[i][i] for power in powers] for i in range(n)]
+    pivots = plain_rref(system)
+    c = [0] * n
+    if len(pivots) == n - 1:
+        free = next(k for k in range(n) if k not in pivots)
+        c[free] = 1
+        for row, k in zip(system, pivots):
+            c[k] = -row[free] % PRIME
+    elif len(pivots) < n:
+        return None
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if sum(ck * power[i][j] for ck, power in zip(c, powers)) % PRIME
+    ]
+    rows = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = 1
+    square = [[sum(rows[i][k] * rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [edges] if square == s else []
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260809)

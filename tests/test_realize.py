@@ -1,8 +1,10 @@
 import itertools
+import json
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,11 +28,14 @@ from twowalk import (
 )
 from twowalk import _search_py
 from conftest import (
+    PRIME,
     all_graphs,
     brute_force_square_witnesses,
     complete,
     cycle,
     empty,
+    plain_rref,
+    powers_commuting_witness,
     random_graph,
     square_witness_table,
 )
@@ -502,6 +507,7 @@ SW118 = IntMatrix.from_rows([
     [2, 3, 3, 3, 2, 2, 3, 3, 5],
 ])
 HARD_CAP = SearchBudget(max_nodes=150_000)
+SUITES = Path(__file__).resolve().parents[1] / "perfbench" / "suites"
 
 
 class TestCommutation:
@@ -545,25 +551,74 @@ class TestCommutation:
                 changed.add(block)
                 check(block)
 
+    def test_matches_powers_route_on_suite_blocks(self):
+        """Every distinct support-component block with n <= 24 of the
+        frozen screen and hard suites: the Krylov-coordinate test decides
+        each exactly as the dense-powers route does."""
+        blocks = set()
+        for name in ("screen-1", "screen-2", "hard-1", "hard-2"):
+            with open(SUITES / f"{name}.json") as f:
+                instances = json.load(f)["instances"]
+            for inst in instances:
+                rows = sq(graph_from_edges(inst["n"], [tuple(e) for e in inst["edges"]])).to_lists()
+                for i, j, v in inst["changes"]:
+                    rows[i][j] = rows[j][i] = v
+                for comp in support_components(IntMatrix.from_rows(rows)).components():
+                    if len(comp) <= 24:
+                        blocks.add(tuple(tuple(rows[a][b] for b in comp) for a in comp))
+        outcomes = {"undecided": 0, "none": 0, "one": 0}
+        for block in blocks:
+            s = [list(row) for row in block]
+            decided = _search_py._commuting_witness(s, 0.0)
+            assert decided == powers_commuting_witness(s), block
+            outcomes["undecided" if decided is None else "one" if decided else "none"] += 1
+        assert len(blocks) == 3_254
+        assert outcomes == {"undecided": 985, "none": 1_547, "one": 722}
+
+    @pytest.mark.parametrize("n", range(3, 22, 2))
+    def test_odd_cycle_squares_stay_undecided(self, n):
+        # every eigenvalue of sq(C_n) for odd n but the top one is double,
+        # so S is not cyclic
+        s = sq(cycle(n)).to_lists()
+        assert powers_commuting_witness(s) is None
+        assert _search_py._commuting_witness(s, 0.0) is None
+
     def test_half16_realized_at_the_gate(self):
         S = sq(graph_from_edges(16, HALF16_EDGES))
         out = realize(S, HARD_CAP)
         assert out.verdict is RealizationVerdict.REALIZED
         assert verify(out.witness, S)
-        # one block searched alone: the test runs on its first node past n^4 // 4
-        assert out.nodes_explored == 16**4 // 4 + 1
+        # one block searched alone: the test runs on its first node past n^3
+        assert out.nodes_explored == 16**3 + 1
 
     def test_sw118_exhausted_at_the_gate(self):
         assert necessary_conditions(SW118).overall
         out = realize(SW118, HARD_CAP)
         assert out.verdict is RealizationVerdict.INFEASIBLE
         assert out.reason == "search exhausted"
-        assert out.nodes_explored <= 9**4 // 4 + 1
+        assert out.nodes_explored <= 9**3 + 1
 
-    def test_deadline_leaves_the_block_undecided(self):
+    def test_deadline_leaves_the_block_undecided(self, monkeypatch):
         s = sq(graph_from_edges(16, HALF16_EDGES)).to_lists()
         assert _search_py._commuting_witness(s, 0.0) is not None
         assert _search_py._commuting_witness(s, time.monotonic() - 1.0) is None
+        # a clock that passes the deadline at its k-th read, for every read
+        # the test makes: between Krylov steps and before each reduction
+        reads = 0
+
+        def clock():
+            nonlocal reads
+            reads += 1
+            return 2.0 if reads >= passed_at else 0.0
+
+        passed_at = float("inf")
+        monkeypatch.setattr(_search_py.time, "monotonic", clock)
+        assert _search_py._commuting_witness(s, 1.0) is not None
+        total = reads
+        assert total == 2 * 16
+        for passed_at in range(1, total + 1):
+            reads = 0
+            assert _search_py._commuting_witness(s, 1.0) is None, passed_at
 
     def test_half16_survives_optimize_flag(self):
         code = (
@@ -576,7 +631,50 @@ class TestCommutation:
         )
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["realized", str(16**4 // 4 + 1), "True"]
+        assert out.stdout.split() == ["realized", str(16**3 + 1), "True"]
+
+
+class TestPackedReduce:
+    """``_search_py._reduce`` packs each row into one int of slots; it must
+    return the same pivots and rows as an entrywise RREF mod p."""
+
+    @staticmethod
+    def check(rows):
+        packed = [list(row) for row in rows]
+        plain = [list(row) for row in rows]
+        assert _search_py._reduce(packed) == plain_rref(plain)
+        assert packed == plain
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (8, 16), (16, 8), (24, 48), (40, 3)])
+    def test_random(self, shape):
+        rng = random.Random(shape[0] * 1000 + shape[1])
+        rows, cols = shape
+        for _ in range(5):
+            self.check([[rng.randrange(PRIME) for _ in range(cols)] for _ in range(rows)])
+
+    @pytest.mark.parametrize("shape", [(6, 6), (10, 20), (20, 10)])
+    def test_rank_deficient_with_zero_columns(self, shape):
+        rng = random.Random(shape[0] * 7 + shape[1])
+        rows, cols = shape
+        base = [[rng.randrange(PRIME) for _ in range(cols)] for _ in range(3)]
+        matrix = []
+        for _ in range(rows):
+            a, b, c = (rng.randrange(PRIME) for _ in range(3))
+            matrix.append([(a * x + b * y + c * z) % PRIME for x, y, z in zip(*base)])
+        for c in rng.sample(range(cols), 2):
+            for row in matrix:
+                row[c] = 0
+        self.check(matrix)
+        self.check([[0] * cols for _ in range(rows)])
+
+    @pytest.mark.parametrize("shape", [(200, 40), (60, 200)])
+    def test_large_entries_do_not_carry(self, shape):
+        # every entry p - 1, and p - 2 on the diagonal for full rank: a row
+        # takes one multiply-add of up to p^2 per pivot, so a slot without
+        # room for the row count carries into the next
+        rows, cols = shape
+        self.check([[PRIME - 1] * cols for _ in range(rows)])
+        self.check([[PRIME - 1 - (i == j) for j in range(cols)] for i in range(rows)])
 
 
 class TestGuarantees:
