@@ -6,6 +6,12 @@ to be the square of an adjacency matrix.
 
 Every check here is necessary-only: a failure proves S is not such a
 square, a pass proves nothing (realization is the separate exact test).
+
+The battery runs at most once per IntMatrix, which keeps its report and
+per-row multiset flags for ``necessary_conditions``, ``row_sum_report``,
+``realize`` and ``realize_all``; raw nested sequences are checked on
+every call, and ``support_components``, ``count_c4`` and
+``regular_row_sum_check`` never run it.
 """
 
 from __future__ import annotations
@@ -134,8 +140,12 @@ class RowSummary:
     index: int
     row_sum: int
     diagonal: int
-    avg_neighbor_degree: Fraction | None
     multiset_feasible: bool
+
+    @property
+    def avg_neighbor_degree(self) -> Fraction | None:
+        """Row sum over diagonal, exact; None when the diagonal is 0."""
+        return Fraction(self.row_sum, self.diagonal) if self.diagonal else None
 
     def to_json_dict(self) -> dict:
         avg = self.avg_neighbor_degree
@@ -169,8 +179,7 @@ class RowSumReport:
         lines = ["row-sum diagnostics (labels are 1-indexed):"]
         for r in self.rows:
             avg = r.avg_neighbor_degree
-            avg_s = "-" if avg is None else (str(avg.numerator) if avg.denominator == 1
-                                             else f"{avg.numerator}/{avg.denominator}")
+            avg_s = "-" if avg is None else str(avg)
             flag = "ok" if r.multiset_feasible else "INFEASIBLE"
             lines.append(
                 f"  v{r.index + 1}: row sum {r.row_sum}, diagonal {r.diagonal}, "
@@ -241,26 +250,14 @@ def _rows_multiset_feasible(diag: Sequence[int], sums: Sequence[int]) -> list[bo
 def row_sum_report(S: IntMatrix) -> RowSumReport:
     """Per-index row sums, average neighbor degree (exact rational,
     absent when the diagonal is 0), and the neighbor-degree-multiset
-    feasibility test."""
-    _require_symmetric(S, "row_sum_report")
-    n = S.n
-    diag = S.diagonal()
-    sums = S.row_sums()
-    feasible = _rows_multiset_feasible(diag, sums)
-    rows = []
-    for i in range(n):
-        d = diag[i]
-        avg = Fraction(sums[i], d) if d > 0 else None
-        rows.append(
-            RowSummary(
-                index=i,
-                row_sum=sums[i],
-                diagonal=d,
-                avg_neighbor_degree=avg,
-                multiset_feasible=feasible[i],
-            )
-        )
-    return RowSumReport(tuple(rows))
+    feasibility test, whose flags are the battery's on the same S."""
+    report, feasible = _battery_of(S)
+    if not report.symmetric.passed:
+        raise ValueError("row_sum_report requires a symmetric matrix")
+    return RowSumReport(tuple(
+        RowSummary(i, t, d, f)
+        for i, (t, d, f) in enumerate(zip(S.row_sums(), S.diagonal(), feasible))
+    ))
 
 
 @dataclass(frozen=True)
@@ -349,45 +346,63 @@ class ConditionReport:
 _CHECK_NAMES = tuple(f.name for f in fields(ConditionReport))
 
 
-def _coerce_matrix(S) -> tuple[tuple[tuple[int, ...], ...] | None, str | None]:
-    """Accept an IntMatrix or raw nested sequences; return (rows, problem),
-    where rows are usable only when problem is None."""
-    if isinstance(S, IntMatrix):
-        return S.rows, None
-    try:
-        rows = tuple(tuple(x for x in row) for row in S)
-    except TypeError:
-        return None, f"input is not a matrix: {type(S).__name__}"
-    return rows, _matrix_problem(rows)
-
-
 def necessary_conditions(S) -> ConditionReport:
     """Run the full rejection battery on S (an IntMatrix or raw nested
     integer sequences).  Never raises: malformed input shows up as
-    failed checks."""
-    rows, problem = _coerce_matrix(S)
-    if problem:
-        checks = {"symmetric": CheckResult(False, problem)}
+    failed checks.  An IntMatrix runs the battery once and keeps the
+    report on the matrix; raw sequences are read and checked afresh on
+    every call."""
+    if isinstance(S, IntMatrix):
+        return _battery_of(S)[0]
+    try:
+        rows = tuple(tuple(row) for row in S)
+    except TypeError:
+        problem = f"input is not a matrix: {type(S).__name__}"
     else:
-        asym = _asymmetric_pair(rows)
-        if asym is None:
-            symmetric = CheckResult(True, "matrix is symmetric")
-        else:
-            i, j = asym
-            symmetric = CheckResult(
-                False, f"s_{i + 1},{j + 1}={rows[i][j]} differs from s_{j + 1},{i + 1}={rows[j][i]}"
-            )
-        neg = _negative_entry(rows)
-        if neg is None:
-            nonneg = CheckResult(True, "all entries are nonnegative integers")
-        else:
-            i, j = neg
-            nonneg = CheckResult(False, f"s_{i + 1},{j + 1}={rows[i][j]} is negative")
+        problem = _matrix_problem(rows)
+    if problem:
+        return _skipped({"symmetric": CheckResult(False, problem)}, problem)
+    return _battery(rows)[0]
+
+
+def _battery_of(S: IntMatrix) -> tuple[ConditionReport, list[bool] | None]:
+    """``_battery`` of S, run on first use and kept in S's instance dict, as
+    ``functools.cached_property`` keeps a value.  IntMatrix is immutable,
+    so the entry never goes stale, and it is no field (see IntMatrix)."""
+    memo = S.__dict__
+    if "_battery" not in memo:
+        memo["_battery"] = _battery(S.rows)
+    return memo["_battery"]
+
+
+def _battery(rows: tuple[tuple[int, ...], ...]) -> tuple[ConditionReport, list[bool] | None]:
+    """The battery on a square matrix of ints: its report and each row's
+    multiset flag, or None for the flags when the matrix is not
+    symmetric and nonnegative (the checks that need it did not run)."""
+    asym = _asymmetric_pair(rows)
+    if asym is None:
+        symmetric = CheckResult(True, "matrix is symmetric")
+    else:
+        i, j = asym
+        symmetric = CheckResult(
+            False, f"s_{i + 1},{j + 1}={rows[i][j]} differs from s_{j + 1},{i + 1}={rows[j][i]}"
+        )
+    neg = _negative_entry(rows)
+    if neg is None:
+        nonneg = CheckResult(True, "all entries are nonnegative integers")
+    else:
+        i, j = neg
+        nonneg = CheckResult(False, f"s_{i + 1},{j + 1}={rows[i][j]} is negative")
+    if not (symmetric.passed and nonneg.passed):
         checks = {"symmetric": symmetric, "nonneg_integer": nonneg}
-        if symmetric.passed and nonneg.passed:
-            checks.update(_square_checks(rows))
-        else:
-            problem = "requires a symmetric nonnegative matrix"
+        return _skipped(checks, "requires a symmetric nonnegative matrix"), None
+    square, feasible = _square_checks(rows)
+    return ConditionReport(symmetric, nonneg, **square), feasible
+
+
+def _skipped(checks: dict[str, CheckResult], problem: str) -> ConditionReport:
+    """A report with ``checks`` and every other check failed as not
+    evaluated, because of ``problem``."""
     skipped = CheckResult(False, f"not evaluated: {problem}")
     return ConditionReport(**{name: checks.get(name, skipped) for name in _CHECK_NAMES})
 
@@ -405,8 +420,9 @@ def _common_neighbor_excess(rows: Sequence[Sequence[int]],
     return None
 
 
-def _square_checks(rows: tuple[tuple[int, ...], ...]) -> dict[str, CheckResult]:
-    """The checks that need a symmetric nonnegative matrix."""
+def _square_checks(rows: tuple[tuple[int, ...], ...]) -> tuple[dict[str, CheckResult], list[bool]]:
+    """The checks that need a symmetric nonnegative matrix, and each
+    row's multiset flag."""
     n = len(rows)
     diag = [rows[i][i] for i in range(n)]
 
@@ -461,4 +477,4 @@ def _square_checks(rows: tuple[tuple[int, ...], ...]) -> dict[str, CheckResult]:
         "trace_even": trace_even,
         "c4_divisible_by_4": c4_ok,
         "rowsum_multiset_feasible": multiset,
-    }
+    }, feasible

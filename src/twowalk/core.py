@@ -40,14 +40,17 @@ class SearchBudget:
 class Graph:
     """Simple undirected graph: vertex count plus a set of edges {i, j}.
 
-    Edges are stored normalized (i < j); self-loops and out-of-range
-    endpoints are rejected.  Instances are immutable and hashable.
+    Edges are stored normalized (i < j) in a frozenset, whatever
+    container they came in; self-loops and out-of-range endpoints are
+    rejected.  Instances are immutable and hashable.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if not isinstance(self.edges, frozenset):
+            object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
         if self.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
         for i, j in self.edges:
@@ -129,8 +132,14 @@ def _asymmetric_pair(rows: Sequence[Sequence[int]]) -> tuple[int, int] | None:
 @dataclass(frozen=True)
 class IntMatrix:
     """Dense square matrix of nonnegative integers, stored row-major as
-    nested tuples.  Entries are plain Python ints, so arithmetic on them
-    is exact at any magnitude."""
+    nested tuples whatever sequences it came in, so instances are
+    immutable and hashable.  Entries are plain Python ints, so arithmetic
+    on them is exact at any magnitude.
+
+    ``analysis`` keeps the necessary-condition battery's result in the
+    instance ``__dict__`` on first use, as ``functools.cached_property``
+    would.  It is no field, so ``==``, ``hash`` and ``repr`` never read
+    it, and pickling and copying keep the rows alone."""
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -138,6 +147,7 @@ class IntMatrix:
         problem = _matrix_problem(self.rows)
         if problem:
             raise ValueError(problem)
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         neg = _negative_entry(self.rows)
         if neg:
             i, j = neg
@@ -182,6 +192,9 @@ class IntMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
+    def __getstate__(self) -> dict:
+        return {"rows": self.rows}
+
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_lists()})"
 
@@ -193,6 +206,7 @@ class Permutation:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "mapping", tuple(self.mapping))
         if sorted(self.mapping) != list(range(len(self.mapping))):
             raise ValueError(f"not a permutation of 0..{len(self.mapping) - 1}: {self.mapping}")
 

@@ -152,7 +152,7 @@ def _matrix_from_lists(data: object, *, source: str) -> IntMatrix:
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise FormatError(f"{source}: expected an array of arrays")
     try:
-        return IntMatrix(tuple(tuple(row) for row in data))
+        return IntMatrix(data)
     except ValueError as exc:
         raise FormatError(f"{source}: {exc}") from None
 

@@ -1,10 +1,11 @@
 """Exact decision procedure for "is S the square of an adjacency matrix?"
 
-A candidate first goes through the necessary-condition battery; survivors
-are handed to an exhaustive backtracking search over the potential edges,
-split along the support components of S, that either produces a witness
-graph (whose square is re-verified entrywise before returning) or proves
-by exhaustion that none exists.
+A candidate first goes through the necessary-condition battery, whose
+report the matrix keeps, so a matrix already analyzed is not checked
+again; survivors are handed to an exhaustive backtracking search over
+the potential edges, split along the support components of S, that
+either produces a witness graph (whose square is re-verified entrywise
+before returning) or proves by exhaustion that none exists.
 The search itself is the pure-Python kernel in ``_search_py``.
 """
 

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,11 +18,14 @@ from twowalk import (
     disjoint_union,
     is_bipartite_or_disconnected,
     necessary_conditions,
+    realize,
+    realize_all,
     regular_row_sum_check,
     row_sum_report,
     square,
     support_components,
 )
+from twowalk import analysis
 from twowalk.analysis import _c4_pair_sum, _common_neighbor_excess, _rows_multiset_feasible
 from twowalk.core import _asymmetric_pair, _matrix_problem
 from conftest import (
@@ -465,3 +471,101 @@ class TestRowScans:
             seen[kind] += any(x is not None for x in (_matrix_problem(rows), *got[:2]))
         # every kind of input produced offenders to name
         assert min(seen.values()) >= 50, seen
+
+
+class TestBatteryRunsOnce:
+    """The battery runs at most once per IntMatrix, whichever call needs it
+    first, and the kept result is invisible to everything but timing."""
+
+    MATRICES = {
+        "c5": sq(cycle(5)),
+        "two triangles": sq(disjoint_union(complete(3), complete(3))),
+        "infeasible 4x4": INFEASIBLE_4X4,
+        "odd trace": IntMatrix.from_rows([[1, 0], [0, 0]]),
+        "asymmetric": IntMatrix.from_rows([[1, 1], [0, 1]]),
+    }
+
+    CALLS = {
+        "necessary_conditions": lambda S: necessary_conditions(S).to_json_dict(),
+        "row_sum_report": lambda S: row_sum_report(S).to_json_dict(),
+        "support_components": support_components,
+        "count_c4": count_c4,
+        "realize": lambda S: _outcome(realize(S)),
+        "realize_all": lambda S: _enumeration(realize_all(S)),
+    }
+
+    @pytest.fixture
+    def batteries(self, monkeypatch):
+        calls = []
+        battery = analysis._battery
+
+        def counted(rows):
+            calls.append(rows)
+            return battery(rows)
+
+        monkeypatch.setattr(analysis, "_battery", counted)
+        return calls
+
+    def test_one_battery_across_the_analyze_set_and_realize(self, batteries):
+        for what, M in self.MATRICES.items():
+            S = IntMatrix(M.rows)
+            before = len(batteries)
+            for call in self.CALLS.values():
+                _result(call, S)
+            _result(self.CALLS["necessary_conditions"], S)
+            assert len(batteries) - before == 1, what
+
+    def test_standalone_scans_run_no_battery(self, batteries):
+        for M in self.MATRICES.values():
+            S = IntMatrix(M.rows)
+            for call in (count_c4, support_components, regular_row_sum_check,
+                         is_bipartite_or_disconnected):
+                _result(call, S)
+        assert batteries == []
+
+    def test_every_call_order_gives_the_fresh_results(self):
+        for what, M in self.MATRICES.items():
+            fresh = {name: _result(call, IntMatrix(M.rows)) for name, call in self.CALLS.items()}
+            for order in itertools.permutations(self.CALLS):
+                S = IntMatrix(M.rows)
+                got = {name: _result(self.CALLS[name], S) for name in order}
+                assert got == fresh, (what, order)
+
+    def test_the_kept_result_is_invisible(self):
+        for M in self.MATRICES.values():
+            analyzed, fresh = IntMatrix(M.rows), IntMatrix(M.rows)
+            necessary_conditions(analyzed)
+            assert analyzed == fresh
+            assert hash(analyzed) == hash(fresh)
+            assert repr(analyzed) == repr(fresh)
+            assert dataclasses.fields(analyzed) == dataclasses.fields(fresh)
+            assert pickle.dumps(analyzed) == pickle.dumps(fresh)
+            assert pickle.loads(pickle.dumps(analyzed)) == fresh
+            assert copy.copy(analyzed) == fresh
+
+    def test_raw_lists_are_checked_on_every_call(self, batteries):
+        raw = [[1, 0], [0, 1]]
+        assert necessary_conditions(raw).symmetric.passed
+        raw[0][1] = 1
+        second = necessary_conditions(raw)
+        assert not second.symmetric.passed
+        assert second.symmetric.reason == "s_1,2=1 differs from s_2,1=0"
+        assert len(batteries) == 2
+
+
+def _result(call, S):
+    """What ``call(S)`` returns, or the type and message of what it raises."""
+    try:
+        return call(S)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _outcome(out):
+    """A realize outcome without its timing."""
+    return out.verdict, out.witness, out.nodes_explored, out.reason
+
+
+def _enumeration(enum):
+    """A realize_all enumeration without its timing."""
+    return enum.witnesses, enum.complete, enum.nodes_explored

@@ -39,6 +39,36 @@ class TestGraphFromEdges:
         assert G.sorted_edges() == [(0, 1)]
 
 
+class TestValueTypesAreFrozen:
+    """Each value type copies what it was given into immutable containers,
+    so mutating the source changes nothing and every instance hashes."""
+
+    def test_matrix_rows_from_lists(self):
+        source = [[1, 0, 1], [0, 2, 0], [1, 0, 1]]
+        M = IntMatrix(source)
+        source[0][1] = 5
+        source.append([0, 0, 0])
+        assert M.rows == ((1, 0, 1), (0, 2, 0), (1, 0, 1))
+        assert hash(M) == hash(IntMatrix.from_rows([[1, 0, 1], [0, 2, 0], [1, 0, 1]]))
+        with pytest.raises(TypeError):
+            M.rows[0][1] = 5
+
+    def test_graph_edges_from_a_list(self):
+        source = [(0, 1), (1, 2)]
+        G = Graph(3, source)
+        source.append((0, 2))
+        assert G.edges == frozenset({(0, 1), (1, 2)})
+        assert hash(G) == hash(graph_from_edges(3, [(2, 1), (1, 0)]))
+        assert Graph(3, [[0, 1]]).edges == frozenset({(0, 1)})
+
+    def test_permutation_mapping_from_a_list(self):
+        source = [2, 0, 1]
+        p = Permutation(source)
+        source[0] = 1
+        assert p.mapping == (2, 0, 1)
+        assert hash(p) == hash(Permutation((2, 0, 1)))
+
+
 class TestAdjacencyMatrix:
     def test_triangle(self):
         assert adjacency_matrix(cycle(3)).to_lists() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
