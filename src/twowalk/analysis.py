@@ -10,8 +10,9 @@ square, a pass proves nothing (realization is the separate exact test).
 The battery runs at most once per IntMatrix, which keeps its report and
 per-row multiset flags for ``necessary_conditions``, ``row_sum_report``,
 ``realize`` and ``realize_all``; raw nested sequences are checked on
-every call, and ``support_components``, ``count_c4`` and
-``regular_row_sum_check`` never run it.
+every call.  ``support_components``, ``count_c4`` and
+``regular_row_sum_check`` never run it, but read its symmetry verdict
+when it has run, as ``iso.permutation_similar`` does.
 """
 
 from __future__ import annotations
@@ -32,8 +33,15 @@ from .core import (
 )
 
 
+def _is_symmetric(S: IntMatrix) -> bool:
+    """Whether S is symmetric: the verdict of the battery kept on S when
+    it has run (see ``_battery_of``), else a scan; never runs the battery."""
+    kept = S.__dict__.get("_battery")
+    return kept[0].symmetric.passed if kept else S.is_symmetric()
+
+
 def _require_symmetric(S: IntMatrix, what: str) -> None:
-    if not S.is_symmetric():
+    if not _is_symmetric(S):
         raise ValueError(f"{what} requires a symmetric matrix")
 
 

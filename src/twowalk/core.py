@@ -43,6 +43,11 @@ class Graph:
     Edges are stored normalized (i < j) in a frozenset, whatever
     container they came in; self-loops and out-of-range endpoints are
     rejected.  Instances are immutable and hashable.
+
+    ``iso`` keeps the graph's refined side in the instance ``__dict__``
+    on first use, as ``functools.cached_property`` would.  It is no
+    field, so ``==``, ``hash`` and ``repr`` never read it, and pickling
+    and copying keep ``n`` and the edges alone.
     """
 
     n: int
@@ -85,6 +90,9 @@ class Graph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+    def __getstate__(self) -> dict:
+        return {"n": self.n, "edges": self.edges}
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.sorted_edges()})"
@@ -136,10 +144,11 @@ class IntMatrix:
     immutable and hashable.  Entries are plain Python ints, so arithmetic
     on them is exact at any magnitude.
 
-    ``analysis`` keeps the necessary-condition battery's result in the
+    ``analysis`` keeps the necessary-condition battery's result, and
+    ``iso`` the matrix's symmetry verdict and refined side, in the
     instance ``__dict__`` on first use, as ``functools.cached_property``
-    would.  It is no field, so ``==``, ``hash`` and ``repr`` never read
-    it, and pickling and copying keep the rows alone."""
+    would.  They are no fields, so ``==``, ``hash`` and ``repr`` never
+    read them, and pickling and copying keep the rows alone."""
 
     rows: tuple[tuple[int, ...], ...]
 

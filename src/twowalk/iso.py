@@ -6,26 +6,37 @@ matrix; the entries of a matrix act as edge colors).
 Each side is read once into a sparse form: its diagonal and each row's
 nonzero off-diagonal entries as a dict from index to entry.  A matrix
 is read off its rows, a graph straight from its edge set, so no dense
-matrix is built.  The engine, ``_find_mapping``,
-is color refinement followed by backtracking: vertices start with
-colors (diagonal entry, size of the support component that
-``core._component_labels`` puts it in), and colors are refined jointly
-on both sides by iterated multisets of (color, entry) over each row's
-nonzero entries; a depth-first search over the refined classes
+matrix is built.  The engine, ``_find_mapping``, is color refinement
+followed by backtracking.  Refinement runs on one side alone
+(``_trace``): vertices start with colors (diagonal entry, size of the
+support component that ``core._component_labels`` puts it in), refined
+by iterated multisets of (color, entry) over each row's nonzero
+entries, and the side's certificate records every round's palette and
+the final color histogram.  Two sides refine jointly to the same colors
+exactly when their certificates are equal, so a pair is compared by its
+two certificates.  A depth-first search over the refined classes
 completes the mapping, testing each candidate against the nonzero
-entries alone.  Everything is deterministic; no heuristic can produce
-a wrong answer, only a budget abort (raised as ``BudgetExhausted``,
-never conflated with "no mapping exists").
+entries alone.
+
+Refinement runs once per object and is kept on it: everything that
+depends on one side alone (the side, a matrix's symmetry verdict, the
+colors and certificate, the search order and back-lists of a mapped
+side, the color buckets of an image side) lives in the instance
+``__dict__`` of the Graph or IntMatrix (``_refined``).  The search and
+the check of its mapping run per pair.  Everything is deterministic; no
+heuristic can produce a wrong answer, only a budget abort (raised as
+``BudgetExhausted``, never conflated with "no mapping exists").
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
+from .analysis import _is_symmetric
 from .core import (
     DimensionMismatch,
     Graph,
@@ -72,81 +83,157 @@ def _graph_side(G: Graph) -> _Side:
 
 
 def _signatures(nonzero: list[dict[int, int]], colors: list[int]) -> list[tuple]:
-    """Each index's color and the multiset of (color, entry) of its row."""
-    return [(colors[v], tuple(sorted([(colors[u], x) for u, x in row.items()])))
-            for v, row in enumerate(nonzero)]
+    """Each index's color and the multiset of (color, entry) over its
+    row's nonzero entries, each pair packed into one int, color + n·entry
+    (a color is below n, so the packing is one-to-one)."""
+    n = len(colors)
+    return [(c, tuple(sorted([colors[u] + n * x for u, x in row.items()])))
+            for c, row in zip(colors, nonzero)]
+
+
+def _trace(side: _Side) -> tuple[list[int], tuple]:
+    """Color refinement of one side from its nonzero entries: its colors
+    and its certificate, the tuple of every round's sorted palette
+    followed by the final color histogram.  A color is an index into its
+    round's palette; refinement stops at the first round that splits no
+    class.
+
+    Refined jointly (one palette over both sides, None as soon as their
+    histograms differ), two sides reach these same colors exactly when
+    their certificates are equal: equal palettes make the joint palette
+    each side's own, and each key starts with the color of the round
+    before, so the palettes and the final histogram fix every earlier
+    round's histogram.  The class sizes then match on both sides before
+    every round and fix each index's zero entries per class, so this
+    refines as whole rows would."""
+    nonzero = side.nonzero
+    label, count = _component_labels(nonzero)
+    size = [0] * count
+    for c in label:
+        size[c] += 1
+    keys = [(d, size[c]) for d, c in zip(side.diag, label)]
+    palettes = []
+    while True:
+        palette = tuple(sorted(set(keys)))
+        palettes.append(palette)
+        index = dict(zip(palette, range(len(palette))))
+        colors = [index[k] for k in keys]
+        if len(palettes) > 1 and len(palette) == len(palettes[-2]):
+            break
+        keys = _signatures(nonzero, colors)
+    histogram = [0] * len(palette)
+    for c in colors:
+        histogram[c] += 1
+    return colors, (*palettes, tuple(histogram))
 
 
 def _refine(a: _Side, b: _Side) -> tuple[list[int], list[int]] | None:
-    """Joint color refinement of two sides from their nonzero entries;
-    None when the color histograms separate (no mapping can exist).  The
-    class sizes match on both sides before every round and fix each
-    index's zero entries per class, so this refines as whole rows would."""
-    keys = []
-    for side in (a, b):
-        label, count = _component_labels(side.nonzero)
-        size = [0] * count
-        for c in label:
-            size[c] += 1
-        keys.append([(d, size[c]) for d, c in zip(side.diag, label)])
-    classes = 0
-    while True:
-        palette = {key: idx for idx, key in enumerate(sorted(set(keys[0]) | set(keys[1])))}
-        col_a, col_b = ([palette[k] for k in side] for side in keys)
-        if sorted(col_a) != sorted(col_b):
-            return None
-        if len(palette) == classes:
-            return col_a, col_b
-        classes = len(palette)
-        keys = [_signatures(s.nonzero, col) for s, col in ((a, col_a), (b, col_b))]
+    """Joint color refinement of two sides: their colors, or None when
+    the certificates differ (no mapping can exist)."""
+    (col_a, cert_a), (col_b, cert_b) = _trace(a), _trace(b)
+    return (col_a, col_b) if cert_a == cert_b else None
 
 
-def _search_order(nonzero: list[dict[int, int]], colors: list[int]) -> list[int]:
+def _plan(nonzero: list[dict[int, int]], colors: list[int], class_size: tuple[int, ...]
+          ) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """Deterministic vertex order: most already-ordered support-neighbors
-    first, then rarest color, then index.  A vertex's key only falls as
-    its neighbors are ordered, so its newest heap entry is its smallest
-    and comes out before any stale one."""
-    class_size = Counter(colors)
-    heap = [(0, class_size[c], v) for v, c in enumerate(colors)]
+    first, then rarest color (``class_size`` is indexed by color), then
+    index; and for each depth the nonzero entries of the vertex there at
+    vertices ordered before it, which a candidate for that vertex must
+    match.
+
+    A vertex's key packs the tuple (-anchored, class size, index) into
+    one int, ((n - anchored)·(n + 1) + size)·n + index, which orders as
+    the tuple does; ``key`` holds each unordered vertex's current key and
+    -1 for an ordered one, so a heap entry that no longer matches it is
+    stale and skipped.  A key only falls, so a vertex's newest entry is
+    its smallest and comes out first."""
+    n = len(colors)
+    step = (n + 1) * n
+    key = [n * step + class_size[c] * n + v for v, c in enumerate(colors)]
+    heap = key[:]
     heapq.heapify(heap)
-    anchored = [0] * len(colors)  # how many ordered support-neighbors each vertex has
-    placed = [False] * len(colors)
-    ordered: list[int] = []
+    order: list[int] = []
+    back: list[list[tuple[int, int]]] = []
     while heap:
-        _, _, v = heapq.heappop(heap)
-        if placed[v]:
+        k = heapq.heappop(heap)
+        v = k % n
+        if key[v] != k:
             continue
-        ordered.append(v)
-        placed[v] = True
-        for u in nonzero[v]:
-            if not placed[u]:
-                anchored[u] += 1
-                heapq.heappush(heap, (-anchored[u], class_size[colors[u]], u))
-    return ordered
+        key[v] = -1
+        need = []
+        for u, x in nonzero[v].items():
+            ku = key[u]
+            if ku < 0:
+                need.append((u, x))
+            else:
+                key[u] = ku = ku - step
+                heapq.heappush(heap, ku)
+        back.append(need)
+        order.append(v)
+    return order, back
 
 
-def _search(a: _Side, b: _Side, col_a: list[int], col_b: list[int],
-            budget: IsoBudget) -> list[int] | None:
+class _Refined:
+    """One side, kept on the Graph or IntMatrix it was read from, with
+    what the mapping search derives from that side alone.  ``symmetric``
+    is a matrix's symmetry verdict (a graph's side is symmetric by
+    construction).  The rest is worked out on first use: the colors and
+    certificate when the object is compared, the search order and
+    back-lists when it is the mapped side of a search, the color buckets
+    when it is the image side."""
+
+    def __init__(self, side: _Side, symmetric: bool = True):
+        self.diag, self.nonzero = side
+        self.symmetric = symmetric
+
+    @cached_property
+    def trace(self) -> tuple[list[int], tuple]:
+        """(colors, certificate), see ``_trace``."""
+        return _trace(self)
+
+    @cached_property
+    def plan(self) -> tuple[list[int], list[list[tuple[int, int]]]]:
+        """The search order and each depth's back-list, see ``_plan``."""
+        colors, certificate = self.trace
+        return _plan(self.nonzero, colors, certificate[-1])
+
+    @cached_property
+    def buckets(self) -> dict[int, list[int]]:
+        """The indices of each color, ascending: a mapped vertex's candidates."""
+        by_color: dict[int, list[int]] = {}
+        for x, c in enumerate(self.trace[0]):
+            by_color.setdefault(c, []).append(x)
+        return by_color
+
+
+def _refined(X: Graph | IntMatrix) -> _Refined:
+    """X's ``_Refined``, kept in X's instance dict on first use, as
+    ``functools.cached_property`` keeps a value.  Graph and IntMatrix are
+    immutable, so it never goes stale, and it is no field (see both)."""
+    memo = X.__dict__
+    if "_iso" not in memo:
+        if isinstance(X, Graph):
+            memo["_iso"] = _Refined(_graph_side(X))
+        else:
+            memo["_iso"] = _Refined(_matrix_side(X), _is_symmetric(X))
+    return memo["_iso"]
+
+
+def _search(a: _Refined, b: _Refined, budget: IsoBudget) -> list[int] | None:
     """Depth-first search for p with a's entries equal to b's under p,
     over candidates of equal color.  The images as a list, or None."""
-    n = len(col_a)
-    by_color: dict[int, list[int]] = {}
-    for x in range(n):
-        by_color.setdefault(col_b[x], []).append(x)
-
-    order = _search_order(a.nonzero, col_a)
-    depth_of = [0] * n
-    for depth, u in enumerate(order):
-        depth_of[u] = depth
-    # the vertices mapped before depth d are exactly order[:d], so the
-    # nonzero entries of order[d] that a candidate must match are fixed
-    back = [[(v, x) for v, x in a.nonzero[u].items() if depth_of[v] < depth]
-            for depth, u in enumerate(order)]
+    col_a = a.trace[0]
+    order, back = a.plan
+    by_color = b.buckets
+    cands_at = [by_color.get(col_a[u], ()) for u in order]
+    n = len(order)
     nonzero_b = b.nonzero
     mapped_nb = [0] * n  # how many of each b-vertex's nonzero entries sit at used vertices
     mapping = [-1] * n
     used = [False] * n
     nodes = 0
+    max_nodes = budget.max_nodes
     deadline = time.monotonic() + budget.max_seconds if budget.max_seconds else 0.0
 
     # explicit stack, one candidate cursor per depth, so the depth is not
@@ -155,29 +242,28 @@ def _search(a: _Side, b: _Side, col_a: list[int], col_b: list[int],
     depth = 0
     while depth < n:
         u = order[depth]
-        if mapping[u] != -1:
+        x = mapping[u]
+        if x != -1:
             # coming back to this depth: undo its last choice
-            x = mapping[u]
             used[x] = False
             mapping[u] = -1
             for w in nonzero_b[x]:
                 mapped_nb[w] -= 1
         need = back[depth]
-        cands = by_color.get(col_a[u], ())
-        c = cursor[depth]
-        while c < len(cands):
+        matched = len(need)
+        cands = cands_at[depth]
+        for c in range(cursor[depth], len(cands)):
             x = cands[c]
-            c += 1
             if used[x]:
                 continue
             nodes += 1
-            if nodes > budget.max_nodes:
-                raise BudgetExhausted(f"mapping search exceeded {budget.max_nodes} nodes")
+            if nodes > max_nodes:
+                raise BudgetExhausted(f"mapping search exceeded {max_nodes} nodes")
             if deadline and nodes & 0x3FF == 0 and time.monotonic() > deadline:
                 raise BudgetExhausted(f"mapping search exceeded {budget.max_seconds}s")
             # u's nonzeros at mapped vertices match x's at their images, and
             # x has no other nonzero at a used vertex: the dense row test
-            if mapped_nb[x] != len(need):
+            if mapped_nb[x] != matched:
                 continue
             ex = nonzero_b[x]
             for v, e in need:
@@ -186,12 +272,11 @@ def _search(a: _Side, b: _Side, col_a: list[int], col_b: list[int],
             else:
                 mapping[u] = x
                 used[x] = True
-                for w in nonzero_b[x]:
+                for w in ex:
                     mapped_nb[w] += 1
+                cursor[depth] = c + 1
+                depth += 1
                 break
-        if mapping[u] != -1:
-            cursor[depth] = c
-            depth += 1
         else:
             cursor[depth] = 0
             if depth == 0:
@@ -200,7 +285,7 @@ def _search(a: _Side, b: _Side, col_a: list[int], col_b: list[int],
     return mapping
 
 
-def _is_witness(a: _Side, b: _Side, mapping: list[int]) -> bool:
+def _is_witness(a: _Refined, b: _Refined, mapping: list[int]) -> bool:
     """Whether a's entries equal b's under the injective ``mapping``:
     equal diagonals and nonzero counts, and every nonzero of a found in b."""
     for i, p in enumerate(mapping):
@@ -213,11 +298,10 @@ def _is_witness(a: _Side, b: _Side, mapping: list[int]) -> bool:
     return True
 
 
-def _find_mapping(a: _Side, b: _Side, budget: IsoBudget | None) -> Permutation | None:
-    refined = _refine(a, b)
-    if refined is None:
+def _find_mapping(a: _Refined, b: _Refined, budget: IsoBudget | None) -> Permutation | None:
+    if a.trace[1] != b.trace[1]:
         return None
-    mapping = _search(a, b, *refined, budget or IsoBudget())
+    mapping = _search(a, b, budget or IsoBudget())
     if mapping is None:
         return None
     p = Permutation(tuple(mapping))
@@ -234,12 +318,13 @@ def are_isomorphic(
     {p(i),p(j)} in H), or None when the graphs are not isomorphic.
 
     Exact backtracking over color-refined vertex classes, read from the
-    edge sets without building either adjacency matrix; raises
-    BudgetExhausted rather than guessing on large hard inputs.
+    edge sets without building either adjacency matrix; each graph is
+    refined once and keeps the result.  Raises BudgetExhausted rather
+    than guessing on large hard inputs.
     """
     if G.n != H.n or G.num_edges != H.num_edges:
         return None
-    return _find_mapping(_graph_side(G), _graph_side(H), budget)
+    return _find_mapping(_refined(G), _refined(H), budget)
 
 
 def permutation_similar(
@@ -248,9 +333,11 @@ def permutation_similar(
     """A permutation p with apply_similarity(S1, p) == S2 (that is,
     S2[i][j] == S1[p(i)][p(j)]), or None when the matrices are not
     permutation-similar.  Matrix entries act as edge colors in the
-    underlying mapping search."""
-    if not S1.is_symmetric() or not S2.is_symmetric():
+    underlying mapping search; each matrix is checked and refined once
+    and keeps the result."""
+    r1, r2 = _refined(S1), _refined(S2)
+    if not r1.symmetric or not r2.symmetric:
         raise ValueError("permutation_similar requires symmetric matrices")
     if S1.n != S2.n:
         raise DimensionMismatch(f"matrix sizes differ: {S1.n} vs {S2.n}")
-    return _find_mapping(_matrix_side(S2), _matrix_side(S1), budget)
+    return _find_mapping(r2, r1, budget)

@@ -523,6 +523,19 @@ class TestBatteryRunsOnce:
                 _result(call, S)
         assert batteries == []
 
+    def test_standalone_scans_read_the_kept_symmetry_verdict(self, monkeypatch):
+        kept = {what: IntMatrix(M.rows) for what, M in self.MATRICES.items()}
+        before = {what: {name: _result(call, S) for name, call in self.CALLS.items()}
+                  for what, S in kept.items()}
+
+        def refuse(self):
+            raise AssertionError("symmetry scanned again")
+
+        monkeypatch.setattr(IntMatrix, "is_symmetric", refuse)
+        for what, S in kept.items():
+            for name in ("support_components", "count_c4"):
+                assert _result(self.CALLS[name], S) == before[what][name], what
+
     def test_every_call_order_gives_the_fresh_results(self):
         for what, M in self.MATRICES.items():
             fresh = {name: _result(call, IntMatrix(M.rows)) for name, call in self.CALLS.items()}

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import pytest
 from twowalk import (
     BudgetExhausted,
     DuplicationFamily,
+    Graph,
     IntMatrix,
     IsoBudget,
     Permutation,
@@ -541,6 +544,138 @@ class TestAgainstDenseSearch:
         S = duplication_family(cycle(5), 2).shared_square
         for cap in self.CAPS:
             self.assert_matrices_agree(S, relabelled(S, rng), cap)
+
+
+def fresh(X):
+    """A new Graph or IntMatrix equal to X, with nothing kept on it."""
+    return Graph(X.n, X.edges) if isinstance(X, Graph) else IntMatrix(X.rows)
+
+
+class TestReusedObjects(TestAgainstDenseSearch):
+    """TestAgainstDenseSearch's corpora with every Graph and IntMatrix
+    reused across calls, so each call after the first reads the
+    refinement kept on its arguments: after a call stopped by the budget,
+    a second time, and with the arguments swapped, every outcome is the
+    dense reference's and a fresh-object call's."""
+
+    def assert_agrees(self, call, args, reference, cap):
+        found, nodes = reference
+        if nodes > 1:
+            assert outcome(call, *args, IsoBudget(max_nodes=1)) == (
+                "budget", "mapping search exceeded 1 nodes")
+        for _ in range(2):
+            super().assert_agrees(call, args, reference, cap)
+        budget = IsoBudget(max_nodes=cap) if cap else None
+        assert outcome(call, *args, budget) == outcome(call, *map(fresh, args), budget)
+
+    def assert_graphs_agree(self, G, H, cap):
+        super().assert_graphs_agree(G, H, cap)
+        super().assert_graphs_agree(H, G, cap)
+
+    def assert_matrices_agree(self, S1, S2, cap):
+        super().assert_matrices_agree(S1, S2, cap)
+        super().assert_matrices_agree(S2, S1, cap)
+
+
+class TestCertificates:
+    """Two sides have equal certificates exactly when the dense joint
+    refinement returns colors, and then their colors split both sides as
+    the dense ones do; on pairs of different inputs, not only
+    relabellings."""
+
+    @staticmethod
+    def assert_certificates_decide(a, b, Ma, Mb):
+        (col_a, cert_a), (col_b, cert_b) = iso._trace(a), iso._trace(b)
+        dense = dense_refine(Ma, Mb)
+        assert (cert_a == cert_b) == (dense is not None)
+        if dense is not None:
+            assert joint_partition((col_a, col_b)) == joint_partition(dense)
+
+    def assert_graphs(self, G, H):
+        A, B = adjacency_matrix(G), adjacency_matrix(H)
+        self.assert_certificates_decide(iso._graph_side(G), iso._graph_side(H), A, B)
+        # a graph's side and its adjacency matrix's refine alike
+        assert iso._trace(iso._graph_side(G)) == iso._trace(iso._matrix_side(A))
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_pair_of_labelled_graphs(self, n):
+        graphs = list(all_graphs(n))
+        for G, H in itertools.product(graphs, repeat=2):
+            self.assert_graphs(G, H)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_seeded_pairs(self, n):
+        rng = random.Random(200 + n)
+        for _ in range(400):
+            G = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            H = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            self.assert_graphs(G, H)
+            self.assert_graphs(G, permute_graph(G, Permutation(tuple(rng.sample(range(n), n)))))
+
+    def test_weighted_matrices(self):
+        # the 200 matrices of TestRefinement.test_random_integer_matrices,
+        # each with its altered copy and with every earlier one of its size
+        rng = random.Random(8)
+        seen = []
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = rng.randint(0, 3)
+                for j in range(i + 1, n):
+                    if rng.random() < 0.5:
+                        rows[i][j] = rows[j][i] = rng.randint(1, 3)
+            M = IntMatrix.from_rows(rows)
+            relabelled(M, rng)
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] = rows[j][i] = (rows[i][j] + 1) % 4
+            altered = relabelled(IntMatrix.from_rows(rows), rng)
+            for other in [altered] + [X for X in seen if X.n == n]:
+                self.assert_certificates_decide(iso._matrix_side(M), iso._matrix_side(other), M, other)
+            seen.append(M)
+
+
+class TestKeptRefinement:
+    """The refinement kept on a Graph or IntMatrix is invisible to
+    equality, hashing, repr, pickling and copying."""
+
+    def pair(self, kind):
+        G = disjoint_union(cycle(5), path(3))
+        H = permute_graph(G, Permutation(tuple(random.Random(4).sample(range(8), 8))))
+        if kind == "graph":
+            return are_isomorphic, G, H
+        return permutation_similar, sq(G), sq(H)
+
+    @pytest.mark.parametrize("kind", ["graph", "matrix"])
+    def test_invisible_after_an_iso_call(self, kind):
+        call, X, Y = self.pair(kind)
+        expected = call(X, Y)
+        assert expected is not None and "_iso" in X.__dict__
+        clean = fresh(X)
+        for clone in (pickle.loads(pickle.dumps(X)), copy.copy(X), copy.deepcopy(X)):
+            assert "_iso" not in clone.__dict__
+            assert clone == X == clean
+            assert hash(clone) == hash(X) == hash(clean)
+            assert repr(clone) == repr(X)
+            assert call(clone, Y) == expected
+        assert pickle.dumps(X) == pickle.dumps(clean)
+
+    def test_kept_symmetry_verdict(self, monkeypatch):
+        S, T = sq(cycle(5)), sq(cycle(5))
+        asym = IntMatrix.from_rows([[0, 1], [0, 0]])
+
+        def calls():
+            assert permutation_similar(S, T) is not None
+            with pytest.raises(ValueError, match="requires symmetric matrices"):
+                permutation_similar(asym, asym)
+
+        calls()
+
+        def refuse(self):
+            raise AssertionError("symmetry scanned again")
+
+        monkeypatch.setattr(IntMatrix, "is_symmetric", refuse)
+        calls()
 
 
 class TestVerifyBipCopy:
