@@ -119,6 +119,7 @@ import time
 from functools import lru_cache
 from itertools import chain, product
 from operator import mul
+from typing import Sequence
 
 from .core import _component_labels, _squares_to, _support
 
@@ -137,7 +138,7 @@ _PRIME = 2**31 - 1  # the commutation test works modulo this prime
 
 def run_search(
     n: int,
-    s: list[list[int]],
+    s: Sequence[Sequence[int]],
     max_nodes: int,
     time_limit: float,
     witness_limit: int,
@@ -282,9 +283,9 @@ class _Covers:
         s = self.s
         side = self.blocks[c]
         labels = side + self.blocks[d] if d is not None else side
-        local = [[s[a][b] for b in labels] for a in labels]
+        local = tuple(tuple(s[a][b] for b in labels) for a in labels)
         shape = (len(side), len(labels) - len(side))
-        matrix = (shape, tuple(map(tuple, local)))
+        matrix = (shape, local)
         found = self.memo.get(matrix)
         if found is None:
             if self.deadline and time.monotonic() > self.deadline:
@@ -300,7 +301,8 @@ class _Covers:
                     # what it found before the stop, each with the first witness
                     # of every other chosen block: a prefix of the cover's products
                     partial = [_relabel(w, labels) for w in found]
-                    self._emit([w[:1] for w in self.chosen] + [partial], False)
+                    if self._emit([w[:1] for w in self.chosen] + [partial], False):
+                        raise _Stopped(HIT_WITNESS_LIMIT)
                 raise _Stopped(status)
             self.memo[matrix] = found
         return [_relabel(w, labels) for w in found]
@@ -355,7 +357,7 @@ def _plan(a: int, b: int) -> tuple[tuple, tuple]:
 
 
 def _search(
-    s: list[list[int]],
+    s: Sequence[Sequence[int]],
     plan: tuple[tuple, tuple],
     cap: int,
     deadline: float,
@@ -468,7 +470,7 @@ def _search(
             pos += 1
 
 
-def _pack(values: list[int], width: int) -> int:
+def _pack(values: Sequence[int], width: int) -> int:
     """``values`` as one int of ``width``-bit slots, the first lowest."""
     x = 0
     for v in reversed(values):
@@ -532,7 +534,7 @@ def _correlate(a: int, b: list[int], width: int) -> list[int]:
     return _slots(product >> (len(b) - 1) * width, width, len(b))
 
 
-def _commuting_witness(s: list[list[int]], deadline: float) -> list[list[tuple[int, int]]] | None:
+def _commuting_witness(s: Sequence[Sequence[int]], deadline: float) -> list[list[tuple[int, int]]] | None:
     """The commutation test on the matrix ``s`` of a block searched alone
     (see the module docstring): None when it does not decide the block,
     else the block's witnesses, none or one, as sorted edge lists."""

@@ -9,10 +9,12 @@ square, a pass proves nothing (realization is the separate exact test).
 
 The battery runs at most once per IntMatrix, which keeps its report and
 per-row multiset flags for ``necessary_conditions``, ``row_sum_report``,
-``realize`` and ``realize_all``; raw nested sequences are checked on
-every call.  ``support_components``, ``count_c4`` and
-``regular_row_sum_check`` never run it, but read its symmetry verdict
-when it has run, as ``iso.permutation_similar`` does.
+``realize`` and ``realize_all``.  Every symmetry test here reads the
+verdict an IntMatrix keeps itself (see ``core.IntMatrix``), so
+``support_components``, ``count_c4`` and ``regular_row_sum_check`` run
+neither the battery nor a second scan, and the battery scans an
+IntMatrix for no negative entry, since the type rejects them.  Raw
+nested sequences are scanned and checked on every call.
 """
 
 from __future__ import annotations
@@ -33,15 +35,8 @@ from .core import (
 )
 
 
-def _is_symmetric(S: IntMatrix) -> bool:
-    """Whether S is symmetric: the verdict of the battery kept on S when
-    it has run (see ``_battery_of``), else a scan; never runs the battery."""
-    kept = S.__dict__.get("_battery")
-    return kept[0].symmetric.passed if kept else S.is_symmetric()
-
-
 def _require_symmetric(S: IntMatrix, what: str) -> None:
-    if not _is_symmetric(S):
+    if not S.is_symmetric():
         raise ValueError(f"{what} requires a symmetric matrix")
 
 
@@ -259,12 +254,10 @@ def row_sum_report(S: IntMatrix) -> RowSumReport:
     """Per-index row sums, average neighbor degree (exact rational,
     absent when the diagonal is 0), and the neighbor-degree-multiset
     feasibility test, whose flags are the battery's on the same S."""
-    report, feasible = _battery_of(S)
-    if not report.symmetric.passed:
-        raise ValueError("row_sum_report requires a symmetric matrix")
+    _require_symmetric(S, "row_sum_report")
     return RowSumReport(tuple(
         RowSummary(i, t, d, f)
-        for i, (t, d, f) in enumerate(zip(S.row_sums(), S.diagonal(), feasible))
+        for i, (t, d, f) in enumerate(zip(S.row_sums(), S.diagonal(), _battery_of(S)[1]))
     ))
 
 
@@ -370,24 +363,27 @@ def necessary_conditions(S) -> ConditionReport:
         problem = _matrix_problem(rows)
     if problem:
         return _skipped({"symmetric": CheckResult(False, problem)}, problem)
-    return _battery(rows)[0]
+    return _battery(rows, _asymmetric_pair(rows), _negative_entry(rows))[0]
 
 
 def _battery_of(S: IntMatrix) -> tuple[ConditionReport, list[bool] | None]:
-    """``_battery`` of S, run on first use and kept in S's instance dict, as
+    """``_battery`` of S, from the symmetry verdict S keeps and with no
+    negative entry, run on first use and kept in S's instance dict, as
     ``functools.cached_property`` keeps a value.  IntMatrix is immutable,
     so the entry never goes stale, and it is no field (see IntMatrix)."""
     memo = S.__dict__
     if "_battery" not in memo:
-        memo["_battery"] = _battery(S.rows)
+        memo["_battery"] = _battery(S.rows, S._asymmetry, None)
     return memo["_battery"]
 
 
-def _battery(rows: tuple[tuple[int, ...], ...]) -> tuple[ConditionReport, list[bool] | None]:
-    """The battery on a square matrix of ints: its report and each row's
-    multiset flag, or None for the flags when the matrix is not
-    symmetric and nonnegative (the checks that need it did not run)."""
-    asym = _asymmetric_pair(rows)
+def _battery(rows: tuple[tuple[int, ...], ...], asym: tuple[int, int] | None,
+             neg: tuple[int, int] | None) -> tuple[ConditionReport, list[bool] | None]:
+    """The battery on a square matrix of ints, given its first asymmetric
+    pair and its first negative entry (each None when there is none): its
+    report and each row's multiset flag, or None for the flags when the
+    matrix is not symmetric and nonnegative (the checks that need it did
+    not run)."""
     if asym is None:
         symmetric = CheckResult(True, "matrix is symmetric")
     else:
@@ -395,7 +391,6 @@ def _battery(rows: tuple[tuple[int, ...], ...]) -> tuple[ConditionReport, list[b
         symmetric = CheckResult(
             False, f"s_{i + 1},{j + 1}={rows[i][j]} differs from s_{j + 1},{i + 1}={rows[j][i]}"
         )
-    neg = _negative_entry(rows)
     if neg is None:
         nonneg = CheckResult(True, "all entries are nonnegative integers")
     else:

@@ -1,7 +1,8 @@
 """Exact graph / integer-matrix value types and the operations shared by
 every other module: the search budget, the square and its popcount
 check, and the support components of a symmetric matrix (read off the
-indices of each row's nonzero entries).
+indices of each row's nonzero entries).  An IntMatrix decides its own
+symmetry, once: every module that needs the verdict reads it there.
 
 All arithmetic is exact: matrix entries are Python ints (arbitrary
 precision, so products can never silently wrap) and rationals are
@@ -12,6 +13,7 @@ precision, so products can never silently wrap) and rationals are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
@@ -144,10 +146,12 @@ class IntMatrix:
     immutable and hashable.  Entries are plain Python ints, so arithmetic
     on them is exact at any magnitude.
 
-    ``analysis`` keeps the necessary-condition battery's result, and
-    ``iso`` the matrix's symmetry verdict and refined side, in the
-    instance ``__dict__`` on first use, as ``functools.cached_property``
-    would.  They are no fields, so ``==``, ``hash`` and ``repr`` never
+    The matrix keeps its first asymmetric pair (``_asymmetry``), which
+    ``is_symmetric`` and every symmetry test of ``analysis`` and ``iso``
+    read; ``analysis`` keeps the necessary-condition battery's result,
+    and ``iso`` the refined side.  All three live in the instance
+    ``__dict__`` from first use, as ``functools.cached_property`` keeps
+    a value.  They are no fields, so ``==``, ``hash`` and ``repr`` never
     read them, and pickling and copying keep the rows alone."""
 
     rows: tuple[tuple[int, ...], ...]
@@ -186,8 +190,13 @@ class IntMatrix:
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.rows)
 
+    @cached_property
+    def _asymmetry(self) -> tuple[int, int] | None:
+        """The first asymmetric pair (see ``_asymmetric_pair``), or None."""
+        return _asymmetric_pair(self.rows)
+
     def is_symmetric(self) -> bool:
-        return _asymmetric_pair(self.rows) is None
+        return self._asymmetry is None
 
     def is_adjacency(self) -> bool:
         """Symmetric 0/1 with zero diagonal."""

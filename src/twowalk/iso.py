@@ -19,13 +19,15 @@ completes the mapping, testing each candidate against the nonzero
 entries alone.
 
 Refinement runs once per object and is kept on it: everything that
-depends on one side alone (the side, a matrix's symmetry verdict, the
-colors and certificate, the search order and back-lists of a mapped
-side, the color buckets of an image side) lives in the instance
-``__dict__`` of the Graph or IntMatrix (``_refined``).  The search and
-the check of its mapping run per pair.  Everything is deterministic; no
-heuristic can produce a wrong answer, only a budget abort (raised as
-``BudgetExhausted``, never conflated with "no mapping exists").
+depends on one side alone (the side, the colors and certificate, the
+search order and back-lists of a mapped side, the color buckets of an
+image side) lives in the instance ``__dict__`` of the Graph or
+IntMatrix (``_refined``).  A matrix's symmetry verdict is the one the
+IntMatrix keeps itself, so this module depends on ``core`` alone.  The
+search and the check of its mapping run per pair.  Everything is
+deterministic; no heuristic can produce a wrong answer, only a budget
+abort (raised as ``BudgetExhausted``, never conflated with "no mapping
+exists").
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
-from .analysis import _is_symmetric
 from .core import (
     DimensionMismatch,
     Graph,
@@ -59,29 +59,6 @@ class IsoBudget(SearchBudget):
     max_seconds: float | None = None
 
 
-class _Side(NamedTuple):
-    """One side of a mapping search: the diagonal, and each row's nonzero
-    off-diagonal entries as a dict from index to entry."""
-
-    diag: list[int]
-    nonzero: list[dict[int, int]]
-
-
-def _matrix_side(M: IntMatrix) -> _Side:
-    rows = M.rows
-    return _Side([row[v] for v, row in enumerate(rows)],
-                 [{u: x for u, x in enumerate(row) if x and u != v} for v, row in enumerate(rows)])
-
-
-def _graph_side(G: Graph) -> _Side:
-    """The side of G's adjacency matrix, from the edge set in O(n + m)."""
-    nonzero: list[dict[int, int]] = [{} for _ in range(G.n)]
-    for i, j in G.edges:
-        nonzero[i][j] = 1
-        nonzero[j][i] = 1
-    return _Side([0] * G.n, nonzero)
-
-
 def _signatures(nonzero: list[dict[int, int]], colors: list[int]) -> list[tuple]:
     """Each index's color and the multiset of (color, entry) over its
     row's nonzero entries, each pair packed into one int, color + n·entry
@@ -91,7 +68,7 @@ def _signatures(nonzero: list[dict[int, int]], colors: list[int]) -> list[tuple]
             for c, row in zip(colors, nonzero)]
 
 
-def _trace(side: _Side) -> tuple[list[int], tuple]:
+def _trace(side: _Refined) -> tuple[list[int], tuple]:
     """Color refinement of one side from its nonzero entries: its colors
     and its certificate, the tuple of every round's sorted palette
     followed by the final color histogram.  A color is an index into its
@@ -125,13 +102,6 @@ def _trace(side: _Side) -> tuple[list[int], tuple]:
     for c in colors:
         histogram[c] += 1
     return colors, (*palettes, tuple(histogram))
-
-
-def _refine(a: _Side, b: _Side) -> tuple[list[int], list[int]] | None:
-    """Joint color refinement of two sides: their colors, or None when
-    the certificates differ (no mapping can exist)."""
-    (col_a, cert_a), (col_b, cert_b) = _trace(a), _trace(b)
-    return (col_a, col_b) if cert_a == cert_b else None
 
 
 def _plan(nonzero: list[dict[int, int]], colors: list[int], class_size: tuple[int, ...]
@@ -175,17 +145,17 @@ def _plan(nonzero: list[dict[int, int]], colors: list[int], class_size: tuple[in
 
 
 class _Refined:
-    """One side, kept on the Graph or IntMatrix it was read from, with
-    what the mapping search derives from that side alone.  ``symmetric``
-    is a matrix's symmetry verdict (a graph's side is symmetric by
-    construction).  The rest is worked out on first use: the colors and
-    certificate when the object is compared, the search order and
-    back-lists when it is the mapped side of a search, the color buckets
-    when it is the image side."""
+    """One side of a mapping search, kept on the Graph or IntMatrix it was
+    read from: the diagonal, and each row's nonzero off-diagonal entries
+    as a dict from index to entry.  What the search derives from that
+    side alone is worked out on first use: the colors and certificate
+    when the object is compared, the search order and back-lists when it
+    is the mapped side of a search, the color buckets when it is the
+    image side."""
 
-    def __init__(self, side: _Side, symmetric: bool = True):
-        self.diag, self.nonzero = side
-        self.symmetric = symmetric
+    def __init__(self, diag: list[int], nonzero: list[dict[int, int]]):
+        self.diag = diag
+        self.nonzero = nonzero
 
     @cached_property
     def trace(self) -> tuple[list[int], tuple]:
@@ -207,16 +177,28 @@ class _Refined:
         return by_color
 
 
+def _matrix_side(M: IntMatrix) -> _Refined:
+    rows = M.rows
+    return _Refined([row[v] for v, row in enumerate(rows)],
+                    [{u: x for u, x in enumerate(row) if x and u != v} for v, row in enumerate(rows)])
+
+
+def _graph_side(G: Graph) -> _Refined:
+    """The side of G's adjacency matrix, from the edge set in O(n + m)."""
+    nonzero: list[dict[int, int]] = [{} for _ in range(G.n)]
+    for i, j in G.edges:
+        nonzero[i][j] = 1
+        nonzero[j][i] = 1
+    return _Refined([0] * G.n, nonzero)
+
+
 def _refined(X: Graph | IntMatrix) -> _Refined:
-    """X's ``_Refined``, kept in X's instance dict on first use, as
+    """X's side, kept in X's instance dict on first use, as
     ``functools.cached_property`` keeps a value.  Graph and IntMatrix are
     immutable, so it never goes stale, and it is no field (see both)."""
     memo = X.__dict__
     if "_iso" not in memo:
-        if isinstance(X, Graph):
-            memo["_iso"] = _Refined(_graph_side(X))
-        else:
-            memo["_iso"] = _Refined(_matrix_side(X), _is_symmetric(X))
+        memo["_iso"] = _graph_side(X) if isinstance(X, Graph) else _matrix_side(X)
     return memo["_iso"]
 
 
@@ -335,9 +317,8 @@ def permutation_similar(
     permutation-similar.  Matrix entries act as edge colors in the
     underlying mapping search; each matrix is checked and refined once
     and keeps the result."""
-    r1, r2 = _refined(S1), _refined(S2)
-    if not r1.symmetric or not r2.symmetric:
+    if not S1.is_symmetric() or not S2.is_symmetric():
         raise ValueError("permutation_similar requires symmetric matrices")
     if S1.n != S2.n:
         raise DimensionMismatch(f"matrix sizes differ: {S1.n} vs {S2.n}")
-    return _find_mapping(r2, r1, budget)
+    return _find_mapping(_refined(S2), _refined(S1), budget)

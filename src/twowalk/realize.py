@@ -107,7 +107,7 @@ def _search(S: IntMatrix, budget: SearchBudget, witness_limit: int):
         return report.failed_names(), _search_py.EXHAUSTED, (), 0, time.perf_counter() - start
     time_limit = budget.max_seconds if budget.max_seconds is not None else 0.0
     status, raw, nodes = _search_py.run_search(
-        S.n, S.to_lists(), budget.max_nodes, time_limit, witness_limit
+        S.n, S.rows, budget.max_nodes, time_limit, witness_limit
     )
     elapsed = time.perf_counter() - start
     # a product of block witness lists can be emitted far faster than each

@@ -18,15 +18,18 @@ from twowalk import (
     disjoint_union,
     is_bipartite_or_disconnected,
     necessary_conditions,
+    permutation_similar,
     realize,
     realize_all,
     regular_row_sum_check,
     row_sum_report,
     square,
     support_components,
+    to_matrix_text,
 )
-from twowalk import analysis
+from twowalk import analysis, core
 from twowalk.analysis import _c4_pair_sum, _common_neighbor_excess, _rows_multiset_feasible
+from twowalk.cli import main
 from twowalk.core import _asymmetric_pair, _matrix_problem
 from conftest import (
     all_graphs,
@@ -499,9 +502,9 @@ class TestBatteryRunsOnce:
         calls = []
         battery = analysis._battery
 
-        def counted(rows):
+        def counted(rows, *rest):
             calls.append(rows)
-            return battery(rows)
+            return battery(rows, *rest)
 
         monkeypatch.setattr(analysis, "_battery", counted)
         return calls
@@ -528,10 +531,12 @@ class TestBatteryRunsOnce:
         before = {what: {name: _result(call, S) for name, call in self.CALLS.items()}
                   for what, S in kept.items()}
 
-        def refuse(self):
+        def refuse(rows):
             raise AssertionError("symmetry scanned again")
 
-        monkeypatch.setattr(IntMatrix, "is_symmetric", refuse)
+        # a fresh scan fails in either module
+        monkeypatch.setattr(core, "_asymmetric_pair", refuse)
+        monkeypatch.setattr(analysis, "_asymmetric_pair", refuse)
         for what, S in kept.items():
             for name in ("support_components", "count_c4"):
                 assert _result(self.CALLS[name], S) == before[what][name], what
@@ -564,6 +569,83 @@ class TestBatteryRunsOnce:
         assert not second.symmetric.passed
         assert second.symmetric.reason == "s_1,2=1 differs from s_2,1=0"
         assert len(batteries) == 2
+
+
+class TestKeptSymmetryVerdict:
+    """An IntMatrix decides its symmetry once; the battery reads that
+    verdict and never scans an IntMatrix for negative entries."""
+
+    MATRICES = TestBatteryRunsOnce.MATRICES
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Every ``_asymmetric_pair`` call, in ``core`` or ``analysis``,
+        as the rows it scanned."""
+        calls = []
+        scan = core._asymmetric_pair
+
+        def counted(rows):
+            calls.append(rows)
+            return scan(rows)
+
+        monkeypatch.setattr(core, "_asymmetric_pair", counted)
+        monkeypatch.setattr(analysis, "_asymmetric_pair", counted)
+        return calls
+
+    def test_one_scan_per_matrix(self, scans):
+        calls = dict(TestBatteryRunsOnce.CALLS, regular_row_sum_check=regular_row_sum_check,
+                     is_symmetric=IntMatrix.is_symmetric,
+                     similar=lambda S: permutation_similar(S, S))
+        for what, M in self.MATRICES.items():
+            S = IntMatrix(M.rows)
+            for _ in range(2):
+                for call in calls.values():
+                    _result(call, S)
+            assert scans == [S.rows], what
+            scans.clear()
+
+    @pytest.mark.parametrize("what", ["c5", "infeasible 4x4", "asymmetric"])
+    def test_one_scan_in_cli_analyze(self, what, scans, tmp_path, capsys):
+        path = tmp_path / "s.txt"
+        path.write_text(to_matrix_text(self.MATRICES[what]))
+        for extra in ([], ["--json"]):
+            scans.clear()
+            main(["analyze", str(path), *extra])
+            capsys.readouterr()
+            assert scans == [self.MATRICES[what].rows]
+
+    def test_no_negative_entry_scan_on_an_int_matrix(self, monkeypatch):
+        reports = {what: necessary_conditions(IntMatrix(M.rows)) for what, M in self.MATRICES.items()}
+
+        def refuse(rows):
+            raise AssertionError("negative entries scanned in the battery")
+
+        monkeypatch.setattr(analysis, "_negative_entry", refuse)
+        for what, M in self.MATRICES.items():
+            assert necessary_conditions(IntMatrix(M.rows)) == reports[what], what
+
+    def test_raw_lists_are_scanned_for_both(self, scans):
+        report = necessary_conditions([[0, -1], [-1, 0]])
+        assert report.symmetric.passed
+        assert not report.nonneg_integer.passed
+        assert report.nonneg_integer.reason == "s_1,2=-1 is negative"
+        report = necessary_conditions([[0, -1], [2, 0]])
+        assert report.symmetric.reason == "s_1,2=-1 differs from s_2,1=2"
+        assert report.nonneg_integer.reason == "s_1,2=-1 is negative"
+        assert len(scans) == 2
+
+    def test_the_kept_verdict_is_invisible(self):
+        for M in self.MATRICES.values():
+            checked, fresh = IntMatrix(M.rows), IntMatrix(M.rows)
+            checked.is_symmetric()
+            assert "_asymmetry" in checked.__dict__
+            assert checked == fresh
+            assert hash(checked) == hash(fresh)
+            assert pickle.dumps(checked) == pickle.dumps(fresh)
+            for clone in (copy.copy(checked), copy.deepcopy(checked),
+                          pickle.loads(pickle.dumps(checked))):
+                assert "_asymmetry" not in clone.__dict__
+                assert clone == fresh and hash(clone) == hash(fresh)
 
 
 def _result(call, S):

@@ -9,6 +9,8 @@ from twowalk import (
     IsoBudget,
     SearchBudget,
     adjacency_matrix,
+    disjoint_union,
+    graph_from_edges,
     square,
     to_edgelist,
     to_graph6,
@@ -88,7 +90,7 @@ class TestAnalyzeCommand:
         code, _, err = run(["analyze", "-"], stdin_text="2\n0 1\n0 0\n",
                            monkeypatch=monkeypatch, capsys=capsys)
         assert code == 2
-        assert "symmetric" in err
+        assert err == "input error: matrix is not symmetric\n"
 
     def test_negative_entry_exit_2(self, monkeypatch, capsys):
         code, _, err = run(["analyze", "-"], stdin_text="2\n0 -1\n-1 0\n",
@@ -161,6 +163,20 @@ class TestRealizeCommand:
                            stdin_text=to_matrix_text(S), monkeypatch=monkeypatch, capsys=capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 1
+
+    def test_limit_reached_as_the_budget_runs_out_exit_0(self, monkeypatch, capsys):
+        # two five-vertex trees: the 46-node cap stops the last block
+        # just after the fifth witness
+        G = disjoint_union(graph_from_edges(5, [(0, 1), (0, 2), (1, 3), (3, 4)]),
+                           graph_from_edges(5, [(0, 2), (0, 4), (1, 3), (3, 4)]))
+        text = to_matrix_text(square(adjacency_matrix(G)))
+        code, out, _ = run(["realize", "-", "--limit", "5"], stdin_text=text,
+                           monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0
+        code, capped, _ = run(["realize", "-", "--limit", "5", "--max-nodes", "46"],
+                              stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0
+        assert capped == out and len(out.splitlines()) == 5
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_non_positive_limit_is_an_input_error(self, limit, monkeypatch, capsys):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -243,3 +246,25 @@ class TestDegreeSequence:
 
     def test_complete_graph(self):
         assert degree_sequence(complete(5)) == [4] * 5
+
+
+def _imported_modules(path):
+    """Every module ``path`` imports from, relative imports resolved
+    within the ``twowalk`` package."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "twowalk" if node.level else ""
+            module = ".".join(filter(None, (base, node.module)))
+            out.add(module)
+            out.update(f"{module}.{alias.name}" for alias in node.names)
+    return out
+
+
+@pytest.mark.parametrize("name", ["core.py", "iso.py"])
+def test_no_import_from_analysis(name):
+    # the symmetry verdict is the matrix's own: neither module needs analysis
+    path = Path(__file__).resolve().parents[1] / "src" / "twowalk" / name
+    assert "twowalk.analysis" not in _imported_modules(path)

@@ -318,6 +318,12 @@ def block_diagonal(*blocks):
     return IntMatrix.from_rows(rows)
 
 
+# the square of two five-vertex trees: a 46-node cap stops its last block
+# just after the fifth of its 8 witnesses
+TWO_TREES = sq(disjoint_union(graph_from_edges(5, [(0, 1), (0, 2), (1, 3), (3, 4)]),
+                              graph_from_edges(5, [(0, 2), (0, 4), (1, 3), (3, 4)])))
+
+
 def shared_square(G, k):
     return duplication_family(G, k).shared_square
 
@@ -374,6 +380,25 @@ class TestSplitSearch:
         assert not enum.complete and enum.nodes_explored == 5001
         assert 0 < len(enum) < 11
         assert list(enum) == list(realize_all(S))[: len(enum)]
+
+    def test_stopped_last_block_that_reaches_the_limit_is_complete(self):
+        five = list(realize_all(TWO_TREES, limit=5))
+        enum = realize_all(TWO_TREES, limit=5, budget=SearchBudget(max_nodes=46))
+        assert enum.complete and list(enum) == five
+        enum = realize_all(TWO_TREES, limit=6, budget=SearchBudget(max_nodes=46))
+        assert not enum.complete and list(enum) == five
+
+    def test_complete_exactly_when_the_limit_is_reached_or_the_search_ends(self):
+        full = list(realize_all(TWO_TREES))
+        assert len(full) == 8
+        for limit in (None, *range(1, len(full) + 2)):
+            uncapped = realize_all(TWO_TREES, limit=limit)
+            for cap in range(1, uncapped.nodes_explored + 2):
+                budget = SearchBudget(max_nodes=cap, max_seconds=None)
+                enum = realize_all(TWO_TREES, limit=limit, budget=budget)
+                assert list(enum) == full[: len(enum)], (limit, cap)
+                finished = uncapped.nodes_explored <= cap
+                assert enum.complete == (len(enum) == limit or finished), (limit, cap)
 
     def test_budgets_bound_the_product_emission(self):
         # 39!! perfect matchings, each found by a one-node cross search
