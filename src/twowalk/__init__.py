@@ -22,15 +22,11 @@ from .analysis import (
     support_components,
 )
 from .construct import (
-    BudgetExhausted,
     DuplicationFamily,
-    IsoBudget,
-    are_isomorphic,
     bipartite_double_cover,
     disjoint_union,
     duplication_family,
     is_bipartite,
-    permutation_similar,
     verify_bip_copy,
 )
 from .core import (
@@ -59,6 +55,7 @@ from .formats import (
     to_matrix_json,
     to_matrix_text,
 )
+from .iso import BudgetExhausted, IsoBudget, are_isomorphic, permutation_similar
 from .realize import (
     Enumeration,
     RealizationOutcome,

@@ -8,13 +8,14 @@ Every check here is necessary-only: a failure proves S is not such a
 square, a pass proves nothing (realization is the separate exact test).
 
 The battery runs at most once per IntMatrix, which keeps its report and
-per-row multiset flags for ``necessary_conditions``, ``row_sum_report``,
-``realize`` and ``realize_all``.  Every symmetry test here reads the
-verdict an IntMatrix keeps itself (see ``core.IntMatrix``), so
-``support_components``, ``count_c4`` and ``regular_row_sum_check`` run
-neither the battery nor a second scan, and the battery scans an
-IntMatrix for no negative entry, since the type rejects them.  Raw
-nested sequences are scanned and checked on every call.
+per-row multiset flags (``core._kept``) for ``necessary_conditions``,
+``row_sum_report``, ``realize`` and ``realize_all``.  Every symmetry
+test here reads the verdict an IntMatrix keeps itself (see
+``core.IntMatrix``), so ``support_components``, ``count_c4`` and
+``regular_row_sum_check`` run neither the battery nor a second scan,
+and the battery scans an IntMatrix for no negative entry, since the
+type rejects them.  Raw nested sequences are scanned and checked on
+every call.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .core import (
     IntMatrix,
     _asymmetric_pair,
     _component_labels,
+    _kept,
     _matrix_problem,
     _negative_entry,
     _support,
@@ -103,9 +105,6 @@ class C4Count:
             raise ValueError(f"pair sum {self.pair_sum} is not divisible by 4")
         return self.pair_sum // 4
 
-    def __int__(self) -> int:
-        return self.cycles
-
     def to_json_dict(self) -> dict:
         return {
             "pair_sum": self.pair_sum,
@@ -168,9 +167,6 @@ class RowSumReport:
     @property
     def all_feasible(self) -> bool:
         return all(r.multiset_feasible for r in self.rows)
-
-    def infeasible_indices(self) -> list[int]:
-        return [r.index for r in self.rows if not r.multiset_feasible]
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,9 +251,9 @@ def row_sum_report(S: IntMatrix) -> RowSumReport:
     absent when the diagonal is 0), and the neighbor-degree-multiset
     feasibility test, whose flags are the battery's on the same S."""
     _require_symmetric(S, "row_sum_report")
+    flags = _kept(S, "_battery", _matrix_battery)[1]
     return RowSumReport(tuple(
-        RowSummary(i, t, d, f)
-        for i, (t, d, f) in enumerate(zip(S.row_sums(), S.diagonal(), _battery_of(S)[1]))
+        RowSummary(i, t, d, f) for i, (t, d, f) in enumerate(zip(S.row_sums(), S.diagonal(), flags))
     ))
 
 
@@ -354,7 +350,7 @@ def necessary_conditions(S) -> ConditionReport:
     report on the matrix; raw sequences are read and checked afresh on
     every call."""
     if isinstance(S, IntMatrix):
-        return _battery_of(S)[0]
+        return _kept(S, "_battery", _matrix_battery)[0]
     try:
         rows = tuple(tuple(row) for row in S)
     except TypeError:
@@ -366,15 +362,10 @@ def necessary_conditions(S) -> ConditionReport:
     return _battery(rows, _asymmetric_pair(rows), _negative_entry(rows))[0]
 
 
-def _battery_of(S: IntMatrix) -> tuple[ConditionReport, list[bool] | None]:
+def _matrix_battery(S: IntMatrix) -> tuple[ConditionReport, list[bool] | None]:
     """``_battery`` of S, from the symmetry verdict S keeps and with no
-    negative entry, run on first use and kept in S's instance dict, as
-    ``functools.cached_property`` keeps a value.  IntMatrix is immutable,
-    so the entry never goes stale, and it is no field (see IntMatrix)."""
-    memo = S.__dict__
-    if "_battery" not in memo:
-        memo["_battery"] = _battery(S.rows, S._asymmetry, None)
-    return memo["_battery"]
+    negative entry (the type rejects them)."""
+    return _battery(S.rows, S._asymmetry, None)
 
 
 def _battery(rows: tuple[tuple[int, ...], ...], asym: tuple[int, int] | None,

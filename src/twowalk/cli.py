@@ -17,15 +17,7 @@ import sys
 
 from . import __version__
 from .analysis import count_c4, necessary_conditions, row_sum_report, support_components
-from .construct import (
-    BudgetExhausted,
-    IsoBudget,
-    are_isomorphic,
-    bipartite_double_cover,
-    disjoint_union,
-    duplication_family,
-    permutation_similar,
-)
+from .construct import bipartite_double_cover, disjoint_union, duplication_family
 from .core import Graph, IntMatrix, adjacency_matrix, square
 from .formats import (
     GRAPH_FORMATS,
@@ -37,6 +29,7 @@ from .formats import (
     write_graph,
     write_matrix,
 )
+from .iso import BudgetExhausted, IsoBudget, are_isomorphic, permutation_similar
 from .realize import RealizationVerdict, SearchBudget, realize, realize_all
 
 EXIT_OK = 0

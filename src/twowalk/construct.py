@@ -1,8 +1,7 @@
 """Duplication machinery: disjoint unions, bipartite double covers, and
 block constructions that manufacture one matrix shared as the adjacency
 square of many pairwise non-isomorphic graphs.  The claims are certified
-by ``iso.are_isomorphic`` and ``iso.permutation_similar``, re-exported
-here.
+by ``iso.are_isomorphic`` and ``iso.permutation_similar``.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 
 from .core import Graph, IntMatrix, _component_labels, adjacency_matrix, graph_from_edges, square
 from .formats import graph_json_dict
-from .iso import BudgetExhausted, IsoBudget, are_isomorphic, permutation_similar
+from .iso import IsoBudget, are_isomorphic, permutation_similar
 from .realize import verify
 
 __all__ = [
@@ -21,10 +20,6 @@ __all__ = [
     "verify_bip_copy",
     "DuplicationFamily",
     "duplication_family",
-    "are_isomorphic",
-    "permutation_similar",
-    "BudgetExhausted",
-    "IsoBudget",
 ]
 
 

@@ -3,6 +3,8 @@ every other module: the search budget, the square and its popcount
 check, and the support components of a symmetric matrix (read off the
 indices of each row's nonzero entries).  An IntMatrix decides its own
 symmetry, once: every module that needs the verdict reads it there.
+What other modules derive from a Graph or IntMatrix alone (the battery's
+report, the refined side) they keep on it with ``_kept``.
 
 All arithmetic is exact: matrix entries are Python ints (arbitrary
 precision, so products can never silently wrap) and rationals are
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -42,14 +44,12 @@ class SearchBudget:
 class Graph:
     """Simple undirected graph: vertex count plus a set of edges {i, j}.
 
-    Edges are stored normalized (i < j) in a frozenset, whatever
-    container they came in; self-loops and out-of-range endpoints are
-    rejected.  Instances are immutable and hashable.
+    Edges are pairs (i, j) of ints (bool excluded) with 0 <= i < j < n,
+    stored in a frozenset whatever container they came in; any other
+    pair is rejected (``graph_from_edges`` orders pairs first).
+    Instances are immutable and hashable.
 
-    ``iso`` keeps the graph's refined side in the instance ``__dict__``
-    on first use, as ``functools.cached_property`` would.  It is no
-    field, so ``==``, ``hash`` and ``repr`` never read it, and pickling
-    and copying keep ``n`` and the edges alone.
+    ``iso`` keeps the graph's refined side on it with ``_kept``.
     """
 
     n: int
@@ -61,27 +61,18 @@ class Graph:
         if self.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
         for i, j in self.edges:
+            if (type(i) is not int or type(j) is not int) and not (_is_int(i) and _is_int(j)):
+                raise ValueError(f"edge ({i!r}, {j!r}) has an endpoint that is not an integer")
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (0 <= i < j < self.n):
+                if 0 <= j < i < self.n:
+                    raise ValueError(f"edge ({i},{j}) is not ordered i < j; graph_from_edges orders pairs")
                 raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        if i > j:
-            i, j = j, i
-        return (i, j) in self.edges
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def neighbors(self, v: int) -> list[int]:
-        out = [j if i == v else i for i, j in self.edges if v in (i, j)]
-        out.sort()
-        return out
 
     def adjacency_sets(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
@@ -101,9 +92,27 @@ class Graph:
 
 
 def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from (possibly unnormalized, duplicated) vertex pairs;
-    ``Graph`` rejects self-loops and out-of-range endpoints."""
+    """Build a Graph from (possibly unordered, duplicated) vertex pairs;
+    ``Graph`` rejects non-integer or out-of-range endpoints and self-loops."""
     return Graph(n, frozenset((i, j) if i < j else (j, i) for i, j in pairs))
+
+
+def _is_int(x: object) -> bool:
+    """Whether x is an int, bool excluded: the entry and endpoint test."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _kept(obj: Any, name: str, make: Callable[[Any], Any]) -> Any:
+    """``make(obj)``, kept in ``obj``'s instance ``__dict__`` under ``name``
+    from first use, as ``functools.cached_property`` keeps a value: the
+    one memo that other modules put on a Graph or IntMatrix.  Both are
+    immutable, so the value never goes stale; it is no field, so ``==``,
+    ``hash`` and ``repr`` never read it, and ``__getstate__`` leaves it
+    out of pickles and copies."""
+    kept = obj.__dict__
+    if name not in kept:
+        kept[name] = make(obj)
+    return kept[name]
 
 
 def _matrix_problem(rows: Sequence[Sequence[object]]) -> str | None:
@@ -115,7 +124,7 @@ def _matrix_problem(rows: Sequence[Sequence[object]]) -> str | None:
             return f"row {i} has length {len(row)}, expected {n}"
         for j, x in enumerate(row, 1):
             # the exact-type test first: it alone settles plain ints, the common case
-            if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
+            if type(x) is not int and not _is_int(x):
                 return f"entry at row {i}, column {j} is not an integer"
     return None
 
@@ -146,13 +155,13 @@ class IntMatrix:
     immutable and hashable.  Entries are plain Python ints, so arithmetic
     on them is exact at any magnitude.
 
-    The matrix keeps its first asymmetric pair (``_asymmetry``), which
-    ``is_symmetric`` and every symmetry test of ``analysis`` and ``iso``
-    read; ``analysis`` keeps the necessary-condition battery's result,
-    and ``iso`` the refined side.  All three live in the instance
-    ``__dict__`` from first use, as ``functools.cached_property`` keeps
-    a value.  They are no fields, so ``==``, ``hash`` and ``repr`` never
-    read them, and pickling and copying keep the rows alone."""
+    The matrix keeps its first asymmetric pair (``_asymmetry``, a
+    ``cached_property``), which ``is_symmetric`` and every symmetry test
+    of ``analysis`` and ``iso`` read; ``analysis`` keeps the
+    necessary-condition battery's result on it, and ``iso`` the refined
+    side, each with ``_kept``.  None of the three is a field, so ``==``,
+    ``hash`` and ``repr`` never read them, and pickling and copying keep
+    the rows alone."""
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -198,15 +207,6 @@ class IntMatrix:
     def is_symmetric(self) -> bool:
         return self._asymmetry is None
 
-    def is_adjacency(self) -> bool:
-        """Symmetric 0/1 with zero diagonal."""
-        r = self.rows
-        return (
-            all(r[i][i] == 0 for i in range(self.n))
-            and all(x in (0, 1) for row in r for x in row)
-            and self.is_symmetric()
-        )
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
@@ -232,10 +232,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))
 
-    @classmethod
-    def from_iterable(cls, images: Iterable[int]) -> "Permutation":
-        return cls(tuple(images))
-
     @property
     def n(self) -> int:
         return len(self.mapping)
@@ -254,9 +250,6 @@ class Permutation:
         if self.n != other.n:
             raise DimensionMismatch(f"composing permutations of sizes {self.n} and {other.n}")
         return Permutation(tuple(self.mapping[other.mapping[i]] for i in range(self.n)))
-
-    def is_identity(self) -> bool:
-        return all(x == i for i, x in enumerate(self.mapping))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its smallest element."""

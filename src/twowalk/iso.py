@@ -21,9 +21,9 @@ entries alone.
 Refinement runs once per object and is kept on it: everything that
 depends on one side alone (the side, the colors and certificate, the
 search order and back-lists of a mapped side, the color buckets of an
-image side) lives in the instance ``__dict__`` of the Graph or
-IntMatrix (``_refined``).  A matrix's symmetry verdict is the one the
-IntMatrix keeps itself, so this module depends on ``core`` alone.  The
+image side) is one ``_Refined``, which ``core._kept`` keeps on the Graph
+or IntMatrix.  A matrix's symmetry verdict is the one the IntMatrix
+keeps itself, so this module depends on ``core`` alone.  The
 search and the check of its mapping run per pair.  Everything is
 deterministic; no heuristic can produce a wrong answer, only a budget
 abort (raised as ``BudgetExhausted``, never conflated with "no mapping
@@ -44,6 +44,7 @@ from .core import (
     Permutation,
     SearchBudget,
     _component_labels,
+    _kept,
 )
 
 
@@ -192,16 +193,6 @@ def _graph_side(G: Graph) -> _Refined:
     return _Refined([0] * G.n, nonzero)
 
 
-def _refined(X: Graph | IntMatrix) -> _Refined:
-    """X's side, kept in X's instance dict on first use, as
-    ``functools.cached_property`` keeps a value.  Graph and IntMatrix are
-    immutable, so it never goes stale, and it is no field (see both)."""
-    memo = X.__dict__
-    if "_iso" not in memo:
-        memo["_iso"] = _graph_side(X) if isinstance(X, Graph) else _matrix_side(X)
-    return memo["_iso"]
-
-
 def _search(a: _Refined, b: _Refined, budget: IsoBudget) -> list[int] | None:
     """Depth-first search for p with a's entries equal to b's under p,
     over candidates of equal color.  The images as a list, or None."""
@@ -306,7 +297,7 @@ def are_isomorphic(
     """
     if G.n != H.n or G.num_edges != H.num_edges:
         return None
-    return _find_mapping(_refined(G), _refined(H), budget)
+    return _find_mapping(_kept(G, "_iso", _graph_side), _kept(H, "_iso", _graph_side), budget)
 
 
 def permutation_similar(
@@ -321,4 +312,4 @@ def permutation_similar(
         raise ValueError("permutation_similar requires symmetric matrices")
     if S1.n != S2.n:
         raise DimensionMismatch(f"matrix sizes differ: {S1.n} vs {S2.n}")
-    return _find_mapping(_refined(S2), _refined(S1), budget)
+    return _find_mapping(_kept(S2, "_iso", _matrix_side), _kept(S1, "_iso", _matrix_side), budget)

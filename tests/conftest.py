@@ -223,6 +223,20 @@ def powers_commuting_witness(s: list[list[int]]) -> list[list[tuple[int, int]]] 
     return [edges] if square == s else []
 
 
+class SteppedClock:
+    """A stand-in for the ``time`` module of a searcher: ``monotonic()``
+    reads 0.0 for its first ``calls`` calls and 1e9 after them, so a
+    deadline set on the first call passes at a chosen later check,
+    without sleeping."""
+
+    def __init__(self, calls: int):
+        self.left = calls
+
+    def monotonic(self) -> float:
+        self.left -= 1
+        return 0.0 if self.left >= 0 else 1e9
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260809)

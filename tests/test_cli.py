@@ -351,3 +351,80 @@ class TestPipelines:
         assert exc.value.code == 0
         out, _ = capsys.readouterr()
         assert "twowalk" in out
+
+
+class TestStableContract:
+    """The output schemas, options and exit codes that README documents."""
+
+    @pytest.fixture
+    def c6_square(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_text(to_matrix_text(square(adjacency_matrix(cycle(6)))))
+        return str(p)
+
+    @pytest.fixture
+    def c6_graph(self, tmp_path):
+        p = tmp_path / "c6.g6"
+        p.write_text(to_graph6(cycle(6)) + "\n")
+        return str(p)
+
+    def test_realize_json_keys(self, c6_square, capsys):
+        code, out, _ = run(["realize", c6_square, "--json"], capsys=capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc) == {"verdict", "witness", "nodes_explored", "elapsed_ms", "reason"}
+        assert doc["verdict"] == "realized" and doc["reason"] is None
+        assert set(doc["witness"]) == {"n", "edges", "graph6"}
+        assert doc["witness"]["n"] == 6 and len(doc["witness"]["edges"]) == 6
+
+    def test_count_c4_json(self, monkeypatch, capsys):
+        S = square(adjacency_matrix(__import__("conftest").complete(4)))
+        code, out, _ = run(["count-c4", "-", "--json"], stdin_text=to_matrix_text(S),
+                           monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0
+        assert json.loads(out) == {"pair_sum": 12, "divisible_by_four": True, "count": "3"}
+
+    def test_graph_command_json_keys(self, c6_graph, capsys):
+        code, out, _ = run(["double-cover", c6_graph, "--json"], capsys=capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc) == {"n", "edges", "graph6"} and doc["n"] == 12
+
+    def test_out_file(self, c6_graph, tmp_path, capsys):
+        target = tmp_path / "sq.json"
+        code, out, _ = run(["square", c6_graph, "--json", "--out", str(target)], capsys=capsys)
+        assert code == 0 and out == ""
+        assert json.loads(target.read_text()) == square(adjacency_matrix(cycle(6))).to_lists()
+
+    def test_graph_format_given_to_a_matrix_command(self, c6_square, capsys):
+        code, out, err = run(["analyze", c6_square, "--format", "graph6"], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "input error: graph6 is a graph format; this command expects a matrix\n"
+
+    def test_matrix_format_given_to_a_graph_command(self, c6_graph, capsys):
+        code, out, err = run(["square", c6_graph, "--format", "matrix-json"], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "input error: matrix-json is a matrix format; this command expects a graph\n"
+
+    def test_unreadable_path(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code, out, err = run(["analyze", str(missing)], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: cannot read {missing}")
+
+    def test_all_stopped_by_the_budget_exit_3(self, c6_square, capsys):
+        code, out, _ = run(["realize", c6_square, "--all", "--max-nodes", "5"], capsys=capsys)
+        assert code == 3
+        assert out.endswith("# enumeration aborted on budget\n")
+
+    def test_all_without_witnesses_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "eye.json"
+        p.write_text("[[1,0,0],[0,1,0],[0,0,1]]")
+        code, out, _ = run(["realize", str(p), "--all"], capsys=capsys)
+        assert code == 1
+        assert out == "# no witnesses: matrix is not the square of any adjacency matrix\n"
+
+    def test_iso_budget_exhausted_exit_3(self, c6_graph, capsys):
+        code, out, err = run(["iso", c6_graph, c6_graph, "--max-nodes", "1"], capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err == "budget exhausted: mapping search exceeded 1 nodes\n"

@@ -38,6 +38,7 @@ from twowalk import (
 import twowalk
 from twowalk import analysis, core, iso
 from conftest import (
+    SteppedClock,
     all_graphs,
     complete,
     component_count_oracle,
@@ -269,16 +270,30 @@ class TestAreIsomorphic:
     def test_different_sizes_absent(self):
         assert are_isomorphic(cycle(3), cycle(4)) is None
 
+    def test_deadline_raises_with_the_time(self, monkeypatch):
+        # the prism and the Moebius ladder on 20 vertices are cubic and
+        # connected, so refinement splits nothing, and telling them apart
+        # takes the search past its 1,024th node, where the clock is read
+        m = 10
+        prism = graph_from_edges(2 * m, [(i, (i + 1) % m) for i in range(m)]
+                                 + [(m + i, m + (i + 1) % m) for i in range(m)]
+                                 + [(i, m + i) for i in range(m)])
+        ladder = graph_from_edges(2 * m, [(i, (i + 1) % (2 * m)) for i in range(2 * m)]
+                                  + [(i, m + i) for i in range(m)])
+        assert are_isomorphic(prism, ladder, IsoBudget(max_nodes=10**5)) is None
+        with pytest.raises(BudgetExhausted, match="nodes"):
+            are_isomorphic(prism, ladder, IsoBudget(max_nodes=1024))
+        monkeypatch.setattr(iso, "time", SteppedClock(1))
+        with pytest.raises(BudgetExhausted) as exc:
+            are_isomorphic(prism, ladder, IsoBudget(max_seconds=1.5))
+        assert str(exc.value) == "mapping search exceeded 1.5s"
+
 
 class TestPublicNames:
     def test_every_exported_name_resolves(self):
         for module in (twowalk, twowalk.construct):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
-
-    def test_construct_reexports_the_iso_front_ends(self):
-        assert twowalk.construct.are_isomorphic is iso.are_isomorphic
-        assert twowalk.construct.permutation_similar is iso.permutation_similar
 
 
 class TestPermutationSimilar:

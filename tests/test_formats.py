@@ -18,7 +18,7 @@ from twowalk import (
     to_matrix_json,
     to_matrix_text,
 )
-from twowalk.formats import detect_graph_format
+from twowalk.formats import detect_graph_format, write_graph, write_matrix
 from conftest import all_graphs, cycle, empty, random_graph
 
 
@@ -119,6 +119,11 @@ class TestDetection:
     def test_graph6_detected(self):
         assert detect_graph_format(to_graph6(cycle(5))) == "graph6"
 
+    def test_header_detected(self):
+        # '>' lies below the graph6 byte range: the header alone decides
+        assert detect_graph_format(">>graph6<<Dhc\n") == "graph6"
+        assert read_graph(">>graph6<<Dhc\n") == cycle(5)
+
     def test_edgelist_detected(self):
         assert detect_graph_format("3\n0 1\n") == "edgelist"
         assert detect_graph_format("# comment first\n3\n0 1\n") == "edgelist"
@@ -132,3 +137,56 @@ class TestDetection:
         assert read_matrix(to_matrix_json(M)) == M
         assert read_matrix(to_matrix_text(M)) == M
         assert read_matrix(to_matrix_json(M), filename="m.json") == M
+
+
+class TestFormatErrors:
+    """Each malformed input raises FormatError naming where it went wrong:
+    (parser, text, message start, line, byte)."""
+
+    CASES = [
+        (parse_graph6, "~~??", "truncated graph6 size field", 1, 4),
+        (parse_graph6, "~??", "truncated graph6 size field", 1, 3),
+        (parse_graph6, "Bw?", "graph6 body too long for n=3", 1, 3),
+        (parse_graph6, "   ", "empty graph6 input", 1, None),
+        (parse_edgelist, "1 2\n0 1\n", "first line must be the vertex count alone", 1, None),
+        (parse_edgelist, "x\n", "invalid vertex count 'x'", 1, None),
+        (parse_edgelist, "-1\n", "negative vertex count -1", 1, None),
+        (parse_edgelist, "3\n0 1 2\n", "expected 'i j', got '0 1 2'", 2, None),
+        (parse_edgelist, "3\n0 a\n", "non-integer endpoint in '0 a'", 2, None),
+        (parse_edgelist, "3\n# c\n0 3\n", "bad edge (0,3) for n=3", 3, None),
+        (parse_matrix_text, "", "empty matrix input", 1, None),
+        (parse_matrix_text, "2 2\n", "first line must be the dimension alone", 1, None),
+        (parse_matrix_text, "x\n", "invalid dimension 'x'", 1, None),
+        (parse_matrix_text, "-1\n", "negative dimension -1", 1, None),
+        (parse_matrix_text, "2\n0 1\n", "expected 2 matrix rows, got 1", 1, None),
+        (parse_matrix_text, "2\n0 1\n1 x\n", "non-integer entry in row '1 x'", 3, None),
+        (parse_matrix_json, "[[1,2]", "invalid JSON: Expecting ',' delimiter", 1, 7),
+        (parse_matrix_json, "\n\n[[1],", "invalid JSON: Expecting value", 3, 6),
+        (parse_matrix_json, "{}", "matrix JSON: expected an array of arrays", None, None),
+        (parse_matrix_json, "[1,2]", "matrix JSON: expected an array of arrays", None, None),
+    ]
+
+    @pytest.mark.parametrize("parse, text, message, line, byte", CASES,
+                             ids=[f"{c[0].__name__}-{c[1]!r}" for c in CASES])
+    def test_error_names_its_place(self, parse, text, message, line, byte):
+        with pytest.raises(FormatError) as exc:
+            parse(text)
+        assert str(exc.value).startswith(message)
+        assert (exc.value.line, exc.value.byte) == (line, byte)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: read_graph("3\n", "dot"), "unknown graph format 'dot'"),
+        (lambda: write_graph(cycle(3), "dot"), "unknown graph format 'dot'"),
+        (lambda: read_matrix("[[0]]", "csv"), "unknown matrix format 'csv'"),
+        (lambda: write_matrix(IntMatrix.zeros(1), "csv"), "unknown matrix format 'csv'"),
+    ], ids=["read_graph", "write_graph", "read_matrix", "write_matrix"])
+    def test_unknown_format_name(self, call, name):
+        with pytest.raises(FormatError) as exc:
+            call()
+        assert str(exc.value) == name
+
+    def test_write_graph_edgelist_roundtrip(self):
+        G = graph_from_edges(5, [(0, 1), (2, 4), (1, 3)])
+        text = write_graph(G, "edgelist")
+        assert text == "5\n0 1\n1 3\n2 4\n"
+        assert read_graph(text, "edgelist") == G

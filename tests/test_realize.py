@@ -16,6 +16,7 @@ from twowalk import (
     adjacency_matrix,
     apply_similarity,
     are_isomorphic,
+    degree_sequence,
     disjoint_union,
     duplication_family,
     graph_from_edges,
@@ -29,6 +30,7 @@ from twowalk import (
 from twowalk import _search_py
 from conftest import (
     PRIME,
+    SteppedClock,
     all_graphs,
     brute_force_square_witnesses,
     complete,
@@ -179,7 +181,7 @@ class TestRealizeAll:
     def test_c6_contains_both_duplication_shapes(self):
         enum = realize_all(sq(cycle(6)))
         assert enum.complete
-        shapes = {tuple(sorted(w.degree(v) for v in range(6))) for w in enum}
+        shapes = {tuple(degree_sequence(w)) for w in enum}
         assert len(enum) >= 2
         kinds = set()
         for w in enum:
@@ -700,6 +702,49 @@ class TestPackedReduce:
         rows, cols = shape
         self.check([[PRIME - 1] * cols for _ in range(rows)])
         self.check([[PRIME - 1 - (i == j) for j in range(cols)] for i in range(rows)])
+
+
+class TestDeadlines:
+    """The time budget's checks, driven by a clock that jumps past the
+    deadline at a chosen call: the first call sets the deadline."""
+
+    BUDGET = SearchBudget(max_seconds=1.0)
+
+    def stopped(self, monkeypatch, S, calls):
+        monkeypatch.setattr(_search_py, "time", SteppedClock(calls))
+        return realize_all(S, budget=self.BUDGET)
+
+    def test_checked_before_a_block_search(self, monkeypatch):
+        # sq(C6) has two support components: the check before their cross
+        # block (the clock's second call) passes and the block emits its
+        # six hexagons; the check before the next block stops the walk
+        S = sq(cycle(6))
+        full = realize_all(S)
+        enum = self.stopped(monkeypatch, S, 2)
+        assert not enum.complete
+        assert 0 < len(enum) < len(full) and list(enum) == list(full)[:len(enum)]
+        monkeypatch.setattr(_search_py, "time", SteppedClock(1))
+        out = realize(S, budget=self.BUDGET)
+        assert out.verdict is RealizationVerdict.ABORTED and out.nodes_explored == 0
+        assert out.reason == "search aborted: time budget exhausted"
+
+    def test_checked_inside_a_block_search(self, monkeypatch):
+        # sq(C12) has two support components, and the search of their
+        # cross block passes its 1,024th node, where the check stops it
+        # with the witnesses found by then
+        S = sq(cycle(12))
+        full = realize_all(S)
+        enum = self.stopped(monkeypatch, S, 2)
+        assert not enum.complete
+        assert enum.nodes_explored == _search_py._TIME_CHECK_MASK + 1
+        assert 0 < len(enum) < len(full) and list(enum) == list(full)[:len(enum)]
+        # sq(C11) is one block searched alone, whose one witness takes
+        # 4,172 nodes: the same check aborts realize
+        monkeypatch.setattr(_search_py, "time", SteppedClock(2))
+        out = realize(sq(cycle(11)), budget=self.BUDGET)
+        assert out.verdict is RealizationVerdict.ABORTED
+        assert out.nodes_explored == _search_py._TIME_CHECK_MASK + 1
+        assert out.reason == "search aborted: time budget exhausted"
 
 
 class TestGuarantees:
