@@ -89,12 +89,15 @@ otherwise there is none.  A block that is not certified cyclic, or has
 d ≥ 2, stays undecided, as does one whose deadline passes between two
 Krylov steps or before a reduction.  All of it is exact integer
 arithmetic mod p; each sum over k is one product of packed ints, and the
-eliminations work on rows packed into one int each.  The test costs
-about n³ nodes' time on an n-vertex block, so a block searched alone
-runs it once, on its first node past n³, and a decided block ends there:
-on the ski-rental rule this at most about doubles a block's time, while
-a block done sooner never pays for it.  The algebra counts no nodes.
-Cross blocks do not run it.
+eliminations work on rows packed into one int each, reduced by adding a
+slot's 31-bit digits (2³¹ ≡ 1 mod p).  On the squares of G(n, 1/2) the
+test costs about as much time as 4–8·n² nodes of search for n ≥ 10, so
+a block searched alone runs it once, on its first node past its gate
+min(n³, 6n²), and a decided block ends there: on the ski-rental rule
+this at most about doubles a block's time, while a block done sooner
+never pays for it.  The gate depends on n alone, so node counts do not
+depend on the machine.  The algebra counts no nodes.  Cross blocks do
+not run it.
 
 The block search (one value cursor and one "edge applied" flag per
 position) and the cover walk run on explicit stacks rather than by
@@ -291,7 +294,7 @@ class _Covers:
             if self.deadline and time.monotonic() > self.deadline:
                 raise _Stopped(HIT_TIME_BUDGET)
             room = self.cap - self.nodes
-            gate = len(side) ** 3 if d is None else room
+            gate = _gate(len(side)) if d is None else room
             status, found, nodes = _search(
                 local, _plan(*shape), room, self.deadline, self.limit, gate
             )
@@ -320,6 +323,12 @@ class _Covers:
             if len(witnesses) == self.limit:
                 return True
         return False
+
+
+def _gate(n: int) -> int:
+    """Nodes a block of ``n`` vertices searched alone runs before its
+    commutation test: min(n³, 6n²), about the test's cost in nodes."""
+    return n * n * min(n, 6)
 
 
 @lru_cache(maxsize=256)
@@ -484,22 +493,37 @@ def _slots(x: int, width: int, count: int) -> list[int]:
     return [(x >> k * width & mask) % _PRIME for k in range(count)]
 
 
+def _fold(x: int, low: int, high: int) -> int:
+    """``x`` with each slot replaced by the sum of its 31-bit digits, twice
+    over: congruent mod ``_PRIME``, since 2³¹ ≡ 1.  For slots at most 93
+    bits wide the result is at most p + 1, and at most p for slots below
+    2⁶².  ``low`` packs 2³¹ − 1 = p in every slot, ``high`` the mask of
+    each slot's bits from 62 up."""
+    x = (x & low) + (x >> 31 & low) + (x >> 62 & high)
+    return (x & low) + (x >> 31 & low)
+
+
 def _reduce(rows: list[list[int]]) -> list[int]:
     """Bring ``rows`` (entries in [0, p)) to reduced row echelon form mod
     ``_PRIME`` in place; returns the pivot column of each nonzero row, in
     order.
 
-    Each row is packed into one int of W-bit slots, so eliminating a
-    column from a row is one multiply-add with the pivot row negated mod
-    p, and a slot is reduced mod p only where it is read.  A row takes at
-    most one such step per pivot, each adding less than p² < 2⁶² to a
-    slot, so with W = 64 + bit_length(rows) + 2 no slot carries into the
-    next."""
+    Each row is packed into one int of W-bit slots, and the elimination
+    is packed arithmetic throughout; a slot is reduced mod p only where
+    it is read.  The pivot row is folded (``_fold``) to slots of at most
+    p + 1, scaled by the pivot's inverse (so each slot stays below 2⁶²)
+    and folded again to slots of at most p.  Eliminating a column from a
+    row is then one multiply-add with p − top, whose slots are ≡ −top
+    mod p and not negative, so nothing borrows.  A row takes at most one
+    such step per pivot, each adding less than p² < 2⁶² to a slot, so
+    with W = 64 + bit_length(rows) + 2 no slot carries into the next; W
+    stays within ``_fold``'s 93 bits below 2²⁷ rows."""
     count = len(rows[0])
     width = 64 + len(rows).bit_length() + 2
     mask = (1 << width) - 1
     packed = [_pack(row, width) for row in rows]
     primes = _pack([_PRIME] * count, width)
+    high = _pack([(1 << width - 62) - 1] * count, width)
     pivots: list[int] = []
     for c in range(count):
         r = len(pivots)
@@ -513,8 +537,7 @@ def _reduce(rows: list[list[int]]) -> list[int]:
         packed[r], packed[at] = packed[at], packed[r]
         column[r], column[at] = column[at], column[r]
         inv = pow(column[r], -1, _PRIME)
-        top = packed[r] = _pack([x * inv % _PRIME for x in _slots(packed[r], width, count)], width)
-        # every slot of p - top is ≡ -top mod p and positive, so no borrow
+        top = packed[r] = _fold(_fold(packed[r], primes, high) * inv, primes, high)
         neg_top = primes - top
         for i, f in enumerate(column):
             if f and i != r:

@@ -44,9 +44,10 @@ class SearchBudget:
 class Graph:
     """Simple undirected graph: vertex count plus a set of edges {i, j}.
 
-    Edges are pairs (i, j) of ints (bool excluded) with 0 <= i < j < n,
-    stored in a frozenset whatever container they came in; any other
-    pair is rejected (``graph_from_edges`` orders pairs first).
+    The vertex count n is a nonnegative int and edges are pairs (i, j)
+    of ints with 0 <= i < j < n (bool excluded from both), stored in a
+    frozenset whatever container they came in; any other count or pair
+    is rejected (``graph_from_edges`` orders pairs first).
     Instances are immutable and hashable.
 
     ``iso`` keeps the graph's refined side on it with ``_kept``.
@@ -58,6 +59,8 @@ class Graph:
     def __post_init__(self):
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
+        if type(self.n) is not int and not _is_int(self.n):
+            raise ValueError(f"vertex count must be an integer, got {self.n!r}")
         if self.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
         for i, j in self.edges:
@@ -219,12 +222,16 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class Permutation:
-    """Bijection on {0..n-1}: ``mapping[i]`` is the image of i."""
+    """Bijection on {0..n-1}: ``mapping[i]`` is the image of i, an int
+    (bool excluded)."""
 
     mapping: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", tuple(self.mapping))
+        # sorted() alone would let (1.0, 0.0) through, since 1.0 == 1
+        if not all(type(x) is int or _is_int(x) for x in self.mapping):
+            raise ValueError(f"permutation images must be integers, got {self.mapping}")
         if sorted(self.mapping) != list(range(len(self.mapping))):
             raise ValueError(f"not a permutation of 0..{len(self.mapping) - 1}: {self.mapping}")
 

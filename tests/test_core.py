@@ -63,6 +63,16 @@ class TestGraphFromEdges:
 
         assert Graph(3, [(Label(0), Label(2))]).sorted_edges() == [(0, 2)]
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "3"])
+    def test_non_integer_vertex_count_rejected(self, n):
+        # Graph(2.5, [(0, 1)]) used to build, and to_graph6 and
+        # adjacency_matrix then raised TypeError; bool is excluded as for
+        # endpoints
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            Graph(n, [(0, 1)])
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            graph_from_edges(n, [])
+
 
 class TestValueTypesAreFrozen:
     """Each value type copies what it was given into immutable containers,
@@ -203,6 +213,21 @@ class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))
+
+    @pytest.mark.parametrize("images", [(1.0, 0.0), (True, False), (0, 2.0, 1), ("1", "0")])
+    def test_non_integer_images_rejected(self, images):
+        # sorted((1.0, 0.0)) == [0, 1], so a float permutation used to build
+        # and apply_similarity then raised TypeError
+        with pytest.raises(ValueError, match="images must be integers"):
+            Permutation(images)
+
+    def test_int_subclass_images_accepted(self):
+        class Label(int):
+            pass
+
+        p = Permutation((Label(1), Label(0)))
+        assert p == Permutation((1, 0))
+        assert apply_similarity(IntMatrix.from_rows([[1, 0], [0, 2]]), p).diagonal() == (2, 1)
 
     def test_inverse_composes_to_identity(self):
         p = Permutation((2, 0, 1, 3))

@@ -615,8 +615,67 @@ class TestCommutation:
         out = realize(S, HARD_CAP)
         assert out.verdict is RealizationVerdict.REALIZED
         assert verify(out.witness, S)
-        # one block searched alone: the test runs on its first node past n^3
-        assert out.nodes_explored == 16**3 + 1
+        # one block searched alone: the test runs on its first node past
+        # the gate
+        assert out.nodes_explored == _search_py._gate(16) + 1
+
+    def test_gate_formula(self):
+        # min(n^3, 6 n^2): a function of n alone, so node counts do not
+        # depend on the machine
+        assert [_search_py._gate(n) for n in range(1, 9)] == [1, 8, 27, 64, 125, 216, 294, 384]
+        assert all(_search_py._gate(n) == min(n**3, 6 * n * n) for n in range(200))
+
+    @pytest.mark.parametrize("n", range(10, 17))
+    def test_cyclic_nullity_one_squares_stop_at_the_gate(self, n, monkeypatch):
+        """Seeded G(n,1/2) squares whose one block is certified cyclic
+        with d = 1: realize stops on the node past the gate with the
+        search's own witness, unless the search alone ends sooner; at
+        least one draw per n reaches the gate."""
+        at_gate = 0
+        for seed in range(6):
+            S = sq(random_graph(random.Random(seed * 100 + n), n))
+            if len(support_components(S).components()) != 1:
+                continue
+            decided = _search_py._commuting_witness(S.to_lists(), 0.0)
+            if decided is None or len(decided) != 1:
+                continue
+            out = realize(S, HARD_CAP)
+            with monkeypatch.context() as m:
+                m.setattr(_search_py, "_gate", lambda k: HARD_CAP.max_nodes)
+                alone = realize(S, HARD_CAP)
+            # d = 1: the witness is the block's only one
+            assert verify(out.witness, S) and alone.witness in (None, out.witness)
+            if alone.nodes_explored > _search_py._gate(n):
+                assert out.nodes_explored == _search_py._gate(n) + 1
+                at_gate += 1
+            else:
+                assert out.nodes_explored == alone.nodes_explored
+        assert at_gate >= 1
+
+    def test_block_done_under_its_gate_runs_no_test(self, monkeypatch):
+        """One-block squares of seeded G(n,1/2), n = 7..12: the test runs
+        exactly when the block's search passes its gate."""
+        calls = 0
+        test = _search_py._commuting_witness
+
+        def counted(s, deadline):
+            nonlocal calls
+            calls += 1
+            return test(s, deadline)
+
+        monkeypatch.setattr(_search_py, "_commuting_witness", counted)
+        seen = set()
+        for n in range(7, 13):
+            for seed in range(6):
+                S = sq(random_graph(random.Random(seed * 100 + n), n))
+                if len(support_components(S).components()) != 1:
+                    continue
+                for run in (realize, realize_all):
+                    calls = 0
+                    nodes = run(S, budget=HARD_CAP).nodes_explored
+                    assert calls == (nodes > _search_py._gate(n)), (n, seed, run)
+                    seen.add(calls)
+        assert seen == {0, 1}
 
     def test_sw118_exhausted_at_the_gate(self):
         assert necessary_conditions(SW118).overall
@@ -658,7 +717,7 @@ class TestCommutation:
         )
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["realized", str(16**3 + 1), "True"]
+        assert out.stdout.split() == ["realized", str(_search_py._gate(16) + 1), "True"]
 
 
 class TestPackedReduce:
@@ -702,6 +761,38 @@ class TestPackedReduce:
         rows, cols = shape
         self.check([[PRIME - 1] * cols for _ in range(rows)])
         self.check([[PRIME - 1 - (i == j) for j in range(cols)] for i in range(rows)])
+
+    @pytest.mark.parametrize("rows", [2, 63, 64, 200])
+    @pytest.mark.parametrize("tail", [0, 1, PRIME - 1])
+    def test_late_pivot_row_after_every_step(self, rows, tail):
+        # rows - 1 unit rows pivot first, each eliminating the last row,
+        # all p - 1, with the largest factor; so the last row has taken the
+        # most steps a row can take before it is folded and normalized as
+        # the last pivot (a zero tail adds (p - 1)p to a slot per step)
+        r = rows - 1
+        matrix = [[int(j == i) if j < r else tail for j in range(r + 3)] for i in range(r)]
+        matrix.append([PRIME - 1] * (r + 3))
+        self.check(matrix)
+
+    @pytest.mark.parametrize("width", [66, 72, 80, 93])
+    def test_fold_reduces_slots_at_the_top_of_the_third_digit(self, width):
+        # _reduce's widths run from 66 bits up; _fold promises a result
+        # congruent mod p, at most p + 1 for slots of up to 93 bits (2^63 - 1
+        # reaches it) and at most p below 2^62, where _reduce needs p - top
+        # not to borrow; no slot may reach into its neighbours
+        top = (1 << width) - 1
+        values = [0, 1, PRIME - 1, PRIME, 2 * PRIME, PRIME * (PRIME + 2), 2**62 - 1, 2**62,
+                  2**63 - 1, top - (1 << 62) + 1, top - 1, top]
+        packed = _search_py._pack(values, width)
+        low = _search_py._pack([PRIME] * len(values), width)
+        high = _search_py._pack([(1 << width - 62) - 1] * len(values), width)
+        folded = _search_py._fold(packed, low, high)
+        mask = (1 << width) - 1
+        slots = [folded >> k * width & mask for k in range(len(values) + 1)]
+        assert slots[-1] == 0
+        for x, y in zip(values, slots):
+            assert y % PRIME == x % PRIME and y <= PRIME + (x >= 2**62), (x, y)
+        assert slots[values.index(2**63 - 1)] == PRIME + 1
 
 
 class TestDeadlines:
