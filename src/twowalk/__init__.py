@@ -27,6 +27,7 @@ from .construct import (
     disjoint_union,
     duplication_family,
     is_bipartite,
+    similar_square_pair,
     verify_bip_copy,
 )
 from .core import (
@@ -41,7 +42,6 @@ from .core import (
     permute_graph,
     square,
 )
-from .datasets import similar_square_pair
 from .formats import (
     FormatError,
     parse_edgelist,

@@ -85,19 +85,21 @@ not zero).  If d = 1, every witness is a multiple of C = Σ c_k S^k for
 one spanning c, so it has C's nonzero pattern (and C's nonzero entries
 are equal), where C_ij = Σ_l (K⁻¹)_lj w_l[i] with w_l = Σ_k c_k v_(k+l):
 that graph is the block's one witness if its exact square is S, and
-otherwise there is none.  A block that is not certified cyclic, or has
-d ≥ 2, stays undecided, as does one whose deadline passes between two
-Krylov steps or before a reduction.  All of it is exact integer
-arithmetic mod p; each sum over k is one product of packed ints, and the
-eliminations work on rows packed into one int each, reduced by adding a
-slot's 31-bit digits (2³¹ ≡ 1 mod p).  On the squares of G(n, 1/2) the
-test costs about as much time as 4–8·n² nodes of search for n ≥ 10, so
-a block searched alone runs it once, on its first node past its gate
-min(n³, 6n²), and a decided block ends there: on the ski-rental rule
-this at most about doubles a block's time, while a block done sooner
-never pays for it.  The gate depends on n alone, so node counts do not
-depend on the machine.  The algebra counts no nodes.  Cross blocks do
-not run it.
+otherwise there is none.  d = 0 takes the same path with c = 0, not an
+early return: the candidate is then the empty graph, rejected unless S
+is zero, and a zero block's one witness is exactly that empty graph.  A
+block that is not certified cyclic, or has d ≥ 2, stays undecided, as
+does one whose deadline passes between two Krylov steps or before a
+reduction.  All of it is exact integer arithmetic mod p; each sum over k
+is one product of packed ints, and the eliminations work on rows packed
+into one int each, reduced by adding a slot's 31-bit digits (2³¹ ≡ 1 mod
+p).  On the squares of G(n, 1/2) the test costs about as much time as
+4–8·n² nodes of search for n ≥ 10, so a block searched alone runs it
+once, on its first node past its gate min(n³, 6n²), and a decided block
+ends there: on the ski-rental rule this at most about doubles a block's
+time, while a block done sooner never pays for it.  The gate depends on
+n alone, so node counts do not depend on the machine.  The algebra
+counts no nodes.  Cross blocks do not run it.
 
 The block search (one value cursor and one "edge applied" flag per
 position) and the cover walk run on explicit stacks rather than by
@@ -180,7 +182,7 @@ def _relabel(edges: list[tuple[int, int]], labels: list[int]) -> list[tuple[int,
 
 class _Stopped(Exception):
     """The walk ended early, with the status in ``args[0]``: a budget ran
-    out, or a component has no cover."""
+    out, the witness limit was reached, or a component has no cover."""
 
 
 class _Covers:
@@ -202,7 +204,8 @@ class _Covers:
 
     def run(self) -> tuple[int, list[list[tuple[int, int]]], int]:
         try:
-            status = HIT_WITNESS_LIMIT if self._walk() else EXHAUSTED
+            self._walk()
+            status = EXHAUSTED
         except _Stopped as stop:
             status = stop.args[0]
         return status, self.witnesses, self.nodes
@@ -219,9 +222,8 @@ class _Covers:
         ):
             raise _Stopped(HIT_TIME_BUDGET)
 
-    def _walk(self) -> bool:
-        """Emit the products of every cover of all the blocks; True when
-        the witness limit was reached."""
+    def _walk(self) -> None:
+        """Emit the products of every cover of all the blocks."""
         chosen = self.chosen
         if not self.blocks:
             return self._emit(chosen, False)
@@ -243,11 +245,9 @@ class _Covers:
             if rest:
                 self._tick()
                 stack.append((rest, self._options(rest), len(self.witnesses)))
-            elif self._emit(chosen, len(chosen) > 1):
-                return True
             else:
+                self._emit(chosen, len(chosen) > 1)
                 chosen.pop()
-        return False
 
     def _options(self, mask: int):
         """Nonempty witness lists of the ways to cover the lowest
@@ -304,25 +304,23 @@ class _Covers:
                     # what it found before the stop, each with the first witness
                     # of every other chosen block: a prefix of the cover's products
                     partial = [_relabel(w, labels) for w in found]
-                    if self._emit([w[:1] for w in self.chosen] + [partial], False):
-                        raise _Stopped(HIT_WITNESS_LIMIT)
+                    self._emit([w[:1] for w in self.chosen] + [partial], False)
                 raise _Stopped(status)
             self.memo[matrix] = found
         return [_relabel(w, labels) for w in found]
 
-    def _emit(self, chosen: list[list], counted: bool) -> bool:
-        """Append the product of the chosen witness lists; True when the
-        witness limit was reached.  ``counted``: each witness counts as a
-        node (those of a product of two or more blocks; a one-block
-        cover's witnesses were counted by its search)."""
+    def _emit(self, chosen: list[list], counted: bool) -> None:
+        """Append the product of the chosen witness lists; stops the walk
+        when the witness limit is reached.  ``counted``: each witness
+        counts as a node (those of a product of two or more blocks; a
+        one-block cover's witnesses were counted by its search)."""
         witnesses = self.witnesses
         for parts in product(*chosen):
             if counted:
                 self._tick()
             witnesses.append(sorted(chain.from_iterable(parts)))
             if len(witnesses) == self.limit:
-                return True
-        return False
+                raise _Stopped(HIT_WITNESS_LIMIT)
 
 
 def _gate(n: int) -> int:

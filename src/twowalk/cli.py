@@ -310,9 +310,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except FormatError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        code = EXIT_INPUT
     except BudgetExhausted as exc:
         sys.stderr.write(f"budget exhausted: {exc}\n")
         code = EXIT_BUDGET

@@ -1,15 +1,18 @@
 """Duplication machinery: disjoint unions, bipartite double covers, and
 block constructions that manufacture one matrix shared as the adjacency
 square of many pairwise non-isomorphic graphs.  The claims are certified
-by ``iso.are_isomorphic`` and ``iso.permutation_similar``.
+by ``iso.are_isomorphic`` and ``iso.permutation_similar``.  The paper's
+other example, ``similar_square_pair``, is a bundled pair of
+non-isomorphic graphs whose squares are permutation-similar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import resources
 
-from .core import Graph, IntMatrix, _component_labels, adjacency_matrix, graph_from_edges, square
-from .formats import graph_json_dict
+from .core import Graph, IntMatrix, _component_labels, _is_int, adjacency_matrix, graph_from_edges, square
+from .formats import graph_json_dict, parse_edgelist
 from .iso import IsoBudget, are_isomorphic, permutation_similar
 from .realize import verify
 
@@ -20,21 +23,23 @@ __all__ = [
     "verify_bip_copy",
     "DuplicationFamily",
     "duplication_family",
+    "similar_square_pair",
 ]
 
 
 def disjoint_union(G: Graph, H: Graph) -> Graph:
     """Graph on |G|+|H| vertices; H's vertex indices are shifted by |G|."""
-    shift = G.n
-    edges = list(G.edges) + [(i + shift, j + shift) for i, j in H.edges]
-    return graph_from_edges(G.n + H.n, edges)
+    return _union_of([G, H])
 
 
 def _union_of(copies: list[Graph]) -> Graph:
-    out = Graph(0, frozenset())
+    """Disjoint union of ``copies``, each shifted by the vertex counts before it."""
+    edges = []
+    shift = 0
     for g in copies:
-        out = disjoint_union(out, g)
-    return out
+        edges += [(i + shift, j + shift) for i, j in g.edges]
+        shift += g.n
+    return Graph(shift, frozenset(edges))
 
 
 def is_bipartite(G: Graph) -> list[int] | None:
@@ -135,8 +140,8 @@ def duplication_family(
     covers leaves the square literally unchanged, and the member with t
     covers is distinguishable from the member with t' covers.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    if not _is_int(k) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     if is_bipartite(G) is not None:
         raise ValueError(
             "base graph is bipartite: every member would be isomorphic to the "
@@ -169,3 +174,11 @@ def duplication_family(
         members=tuple(members),
         member_descriptions=tuple(descriptions),
     )
+
+
+def similar_square_pair() -> tuple[Graph, Graph]:
+    """The bundled 12-vertex 4-regular pair: connected, nonbipartite,
+    non-isomorphic graphs whose adjacency squares are permutation-similar
+    (though not equal under the shipped labelings)."""
+    data = resources.files(__package__) / "data"
+    return tuple(parse_edgelist((data / f"pair12_{x}.edges").read_text()) for x in "ab")

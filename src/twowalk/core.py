@@ -58,12 +58,18 @@ class Graph:
 
     def __post_init__(self):
         if not isinstance(self.edges, frozenset):
-            object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
+            # a non-iterable edge is kept as it is, to be rejected as no pair below
+            edges = (tuple(e) if isinstance(e, Iterable) else e for e in self.edges)
+            object.__setattr__(self, "edges", frozenset(edges))
         if type(self.n) is not int and not _is_int(self.n):
             raise ValueError(f"vertex count must be an integer, got {self.n!r}")
         if self.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        for i, j in self.edges:
+        for edge in self.edges:
+            try:
+                i, j = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} is not a pair of vertices") from None
             if (type(i) is not int or type(j) is not int) and not (_is_int(i) and _is_int(j)):
                 raise ValueError(f"edge ({i!r}, {j!r}) has an endpoint that is not an integer")
             if i == j:
@@ -291,7 +297,7 @@ def adjacency_matrix(G: Graph) -> IntMatrix:
     for i, j in G.edges:
         rows[i][j] = 1
         rows[j][i] = 1
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(rows)
 
 
 def square(M: IntMatrix) -> IntMatrix:

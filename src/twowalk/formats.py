@@ -30,8 +30,6 @@ GRAPH6_HEADER = ">>graph6<<"
 
 
 def _g6_encode_n(n: int) -> str:
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
     if n <= 62:
         return chr(n + 63)
     if n <= 258047:
@@ -115,25 +113,36 @@ def to_edgelist(G: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edgelist(text: str) -> Graph:
-    """Parse edge-list text; '#' starts a comment, blank lines are skipped."""
-    n = None
-    pairs = []
+def _counted_lines(text: str, count: str, kind: str) -> tuple[int, int, list[tuple[int, str]]]:
+    """The header of counted ``kind`` text, a ``count`` alone on its first
+    line: the count, its line number and the numbered lines after it.
+    '#' starts a comment, blank lines are skipped."""
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            lines.append((lineno, line))
+    if not lines:
+        raise FormatError(f"empty {kind} input", line=1)
+    lineno, first = lines[0]
+    tokens = first.split()
+    if len(tokens) != 1:
+        raise FormatError(f"first line must be the {count} alone", line=lineno)
+    try:
+        n = int(tokens[0])
+    except ValueError:
+        raise FormatError(f"invalid {count} {tokens[0]!r}", line=lineno) from None
+    if n < 0:
+        raise FormatError(f"negative {count} {n}", line=lineno)
+    return n, lineno, lines[1:]
+
+
+def parse_edgelist(text: str) -> Graph:
+    """Parse edge-list text; '#' starts a comment, blank lines are skipped."""
+    n, _, lines = _counted_lines(text, "vertex count", "edge-list")
+    pairs = []
+    for lineno, line in lines:
         tokens = line.split()
-        if n is None:
-            if len(tokens) != 1:
-                raise FormatError("first line must be the vertex count alone", line=lineno)
-            try:
-                n = int(tokens[0])
-            except ValueError:
-                raise FormatError(f"invalid vertex count {tokens[0]!r}", line=lineno) from None
-            if n < 0:
-                raise FormatError(f"negative vertex count {n}", line=lineno)
-            continue
         if len(tokens) != 2:
             raise FormatError(f"expected 'i j', got {line!r}", line=lineno)
         try:
@@ -143,8 +152,6 @@ def parse_edgelist(text: str) -> Graph:
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise FormatError(f"bad edge ({i},{j}) for n={n}", line=lineno)
         pairs.append((i, j))
-    if n is None:
-        raise FormatError("empty edge-list input", line=1)
     return graph_from_edges(n, pairs)
 
 
@@ -177,27 +184,11 @@ def to_matrix_text(M: IntMatrix) -> str:
 
 
 def parse_matrix_text(text: str) -> IntMatrix:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
-    if not lines:
-        raise FormatError("empty matrix input", line=1)
-    lineno, first = lines[0]
-    tokens = first.split()
-    if len(tokens) != 1:
-        raise FormatError("first line must be the dimension alone", line=lineno)
-    try:
-        n = int(tokens[0])
-    except ValueError:
-        raise FormatError(f"invalid dimension {tokens[0]!r}", line=lineno) from None
-    if n < 0:
-        raise FormatError(f"negative dimension {n}", line=lineno)
-    if len(lines) != n + 1:
-        raise FormatError(f"expected {n} matrix rows, got {len(lines) - 1}", line=lineno)
+    n, lineno, lines = _counted_lines(text, "dimension", "matrix")
+    if len(lines) != n:
+        raise FormatError(f"expected {n} matrix rows, got {len(lines)}", line=lineno)
     rows = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         toks = line.split()
         if len(toks) != n:
             raise FormatError(f"expected {n} entries, got {len(toks)}", line=lineno)

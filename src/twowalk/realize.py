@@ -18,7 +18,7 @@ from typing import Iterator
 
 from . import _search_py
 from .analysis import necessary_conditions
-from .core import Graph, IntMatrix, SearchBudget, _squares_to, graph_from_edges
+from .core import Graph, IntMatrix, SearchBudget, _is_int, _squares_to, graph_from_edges
 from .formats import graph_json_dict
 
 
@@ -174,6 +174,8 @@ def realize_all(
     Witnesses are labeled graphs; callers wanting representatives up to
     isomorphism can post-filter with ``iso.are_isomorphic``.
     """
+    if limit is not None and not _is_int(limit):
+        raise ValueError(f"limit must be an integer or None, got {limit!r}")
     if limit is not None and limit <= 0:
         raise ValueError("limit must be positive or None")
     _, status, witnesses, nodes, elapsed = _search(S, budget or SearchBudget(), limit or 0)

@@ -322,6 +322,10 @@ class TestRegularRowSum:
         check = regular_row_sum_check(M)
         assert check and not check.diagonal_constant and check.k is None
 
+    def test_empty_matrix(self):
+        check = regular_row_sum_check(IntMatrix(()))
+        assert check and check.k is None and check.note == "empty matrix"
+
 
 class TestNecessaryConditions:
     def test_infeasible_4x4_rejected_by_multiset(self):
@@ -345,6 +349,11 @@ class TestNecessaryConditions:
         M = IntMatrix.from_rows([[0, 2, 2], [2, 0, 2], [2, 2, 0]])
         report = necessary_conditions(M)
         assert not report.c4_divisible_by_4.passed
+
+    def test_non_sequence_input_fails_without_raising(self):
+        report = necessary_conditions(5)
+        assert not report.overall
+        assert report.symmetric.reason == "input is not a matrix: int"
 
     def test_malformed_inputs_fail_without_raising(self):
         assert not necessary_conditions([[0, 1], [2, 0]]).symmetric.passed

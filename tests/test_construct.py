@@ -747,6 +747,13 @@ class TestDuplicationFamily:
         with pytest.raises(ValueError, match="positive"):
             duplication_family(cycle(3), 0)
 
+    @pytest.mark.parametrize("k", [True, 1.5, 2.0, "2"])
+    def test_k_must_be_an_integer(self, k):
+        # True used to build a family whose JSON said "k": true, and 1.5
+        # raised TypeError from multiplying the list of copies
+        with pytest.raises(ValueError, match=f"k must be a positive integer, got {k!r}"):
+            duplication_family(cycle(3), k)
+
     def test_member_must_square_to_shared_matrix(self):
         fam = duplication_family(cycle(3), 1)
         wrong = (fam.members[0], disjoint_union(cycle(5), empty(1)))

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,20 @@ class TestGraphFromEdges:
             pass
 
         assert Graph(3, [(Label(0), Label(2))]).sorted_edges() == [(0, 2)]
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5])
+    def test_edge_that_is_not_a_pair_rejected(self, edge):
+        # the first two used to raise Python's unpacking message, 5 a
+        # TypeError from making it a tuple
+        message = re.escape(f"edge {edge!r} is not a pair of vertices")
+        with pytest.raises(ValueError, match=message):
+            Graph(3, [edge])
+        with pytest.raises(ValueError, match=message):
+            Graph(3, frozenset([edge]))
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative, got -1"):
+            Graph(-1, [])
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True, "3"])
     def test_non_integer_vertex_count_rejected(self, n):
@@ -238,6 +253,13 @@ class TestPermutation:
         assert Permutation((1, 0, 2)).cycle_string() == "(0 1)"
         assert Permutation.identity(3).cycle_string() == "id"
 
+    def test_compose_size_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="composing permutations of sizes 2 and 3"):
+            Permutation.identity(2).compose(Permutation.identity(3))
+
+    def test_repr(self):
+        assert repr(Permutation((2, 0, 1))) == "Permutation([2, 0, 1])"
+
 
 class TestApplySimilarity:
     def test_identity_law(self):
@@ -257,6 +279,10 @@ class TestApplySimilarity:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             apply_similarity(IntMatrix.zeros(3), Permutation.identity(2))
+
+    def test_permute_graph_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="graph of size 3 vs permutation of size 2"):
+            permute_graph(path(3), Permutation.identity(2))
 
     @given(st.permutations(list(range(8))), st.permutations(list(range(8))))
     @settings(max_examples=60, deadline=None)

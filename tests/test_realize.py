@@ -204,6 +204,16 @@ class TestRealizeAll:
         enum = realize_all(sq(cycle(6)), limit=1)
         assert enum.complete and len(enum) == 1
 
+    @pytest.mark.parametrize("limit", [2.5, 2.0, True])
+    def test_limit_must_be_an_integer(self, limit):
+        # on two disjoint triangles limit=2.5 used to give 4 witnesses: the
+        # block search stopped at 0 < limit <= len, the product never at
+        # len == 2.5; True was read as 1
+        S = sq(disjoint_union(cycle(3), cycle(3)))
+        with pytest.raises(ValueError, match=f"limit must be an integer or None, got {limit!r}"):
+            realize_all(S, limit=limit)
+        assert len(realize_all(S, limit=2)) == 2
+
     @pytest.mark.parametrize("n", range(6))
     def test_matches_brute_force_exhaustive(self, n):
         squares = {sq(G) for G in all_graphs(n)}
